@@ -458,9 +458,12 @@ impl Platform25D {
     ///
     /// Candidates are the deterministic beam search result
     /// ([`mapper::search_model`], compute-optimal per task) plus the four
-    /// uniform hand presets, each costed through the full report pipeline
-    /// (NoI transfers + network replay + compute). The winner minimizes
-    /// whole-report energy×delay ([`Platform25D::report_edp`]); the
+    /// uniform hand presets. Each is ranked on the analytic half of the
+    /// report pipeline (NoI transfers + analytical network model +
+    /// compute), which is everything the ranking metric
+    /// ([`Platform25D::report_edp`]) reads; only the winner pays for the
+    /// packet-level snapshot replay that fills the report's simulated
+    /// latencies. The winner minimizes whole-report energy×delay; the
     /// searched candidate wins ties, so `searched` never loses to any
     /// hand mode by construction. Resolution is a pure function of
     /// (config, architecture, workload) — no RNG, no thread-count
@@ -482,24 +485,23 @@ impl Platform25D {
         outcome: &ChurnOutcome,
         scratch: &mut SweepScratch,
     ) -> (SearchedResolution, WorkloadReport) {
-        let mut candidates: Vec<Vec<ModelMapping>> = Vec::with_capacity(5);
-        candidates.push(self.searched_task_mappings(graphs));
-        for df in Dataflow::all() {
-            candidates.push(graphs.iter().map(|g| ModelMapping::preset(df, g)).collect());
-        }
-        let mut best: Option<(Vec<ModelMapping>, WorkloadReport, f64)> = None;
-        for maps in candidates {
-            let rep =
-                self.report_from_outcome(wl, graphs, outcome, &CostModel::Mapped(&maps), scratch);
+        let mut candidates = self.searched_candidates(graphs);
+        let mut best: Option<(usize, f64)> = None;
+        for (i, maps) in candidates.iter().enumerate() {
+            let rep = self.analytic_report(wl, graphs, outcome, &CostModel::Mapped(maps), scratch);
             let edp = self.report_edp(&rep);
             // Strict `<`: the searched candidate comes first and keeps
             // ties, making the resolution deterministic.
-            if best.as_ref().is_none_or(|(_, _, b)| edp < *b) {
-                best = Some((maps, rep, edp));
+            if best.is_none_or(|(_, b)| edp < b) {
+                best = Some((i, edp));
             }
         }
-        let (maps, rep, _) = best.expect("at least the searched candidate was costed");
-        (SearchedResolution::new(maps), rep)
+        let (winner, _) = best.expect("at least the searched candidate was costed");
+        // Scratch holds the last candidate's flows, so the winner is
+        // costed afresh, snapshot replay included.
+        let resolution = SearchedResolution::new(candidates.swap_remove(winner));
+        let rep = self.cost_searched_resolution_scratch(wl, graphs, outcome, &resolution, scratch);
+        (resolution, rep)
     }
 
     /// Re-costs a previously resolved [`Dataflow::Searched`] cell without
@@ -551,6 +553,18 @@ impl Platform25D {
         energy_pj * time_ns
     }
 
+    /// The candidates [`Platform25D::resolve_searched`] ranks, in
+    /// tie-break order: the searched mappings, then one uniform preset
+    /// per hand mode.
+    fn searched_candidates(&self, graphs: &[SegmentGraph]) -> Vec<Vec<ModelMapping>> {
+        let mut candidates = Vec::with_capacity(5);
+        candidates.push(self.searched_task_mappings(graphs));
+        for df in Dataflow::all() {
+            candidates.push(graphs.iter().map(|g| ModelMapping::preset(df, g)).collect());
+        }
+        candidates
+    }
+
     /// Per-task compute-optimal loop-nest mappings from the deterministic
     /// beam search, memoized per distinct model within the workload.
     fn searched_task_mappings(&self, graphs: &[SegmentGraph]) -> Vec<ModelMapping> {
@@ -567,10 +581,28 @@ impl Platform25D {
             .collect()
     }
 
-    /// Costs one churned placement under one cost model: transfer
-    /// expansion, analytical + DES network replay, compute and
-    /// programming energy.
+    /// Costs one churned placement under one cost model: the analytic
+    /// stage followed by the snapshot DES stage.
     fn report_from_outcome(
+        &self,
+        wl: &Workload,
+        graphs: &[SegmentGraph],
+        outcome: &ChurnOutcome,
+        model: &CostModel<'_>,
+        scratch: &mut SweepScratch,
+    ) -> WorkloadReport {
+        let mut rep = self.analytic_report(wl, graphs, outcome, model, scratch);
+        self.replay_snapshots(outcome, scratch, &mut rep);
+        rep
+    }
+
+    /// The analytic stage of [`Platform25D::report_from_outcome`]:
+    /// transfer expansion into `scratch.task_flows`/`placement_slot`,
+    /// analytical NoI, static energy, programming and compute. The
+    /// simulated latencies are left at zero for
+    /// [`Platform25D::replay_snapshots`] to fill from the flows this
+    /// leaves in scratch.
+    fn analytic_report(
         &self,
         wl: &Workload,
         graphs: &[SegmentGraph],
@@ -652,48 +684,6 @@ impl Platform25D {
             hops_weighted += ana.mean_weighted_hops * bytes as f64;
         }
 
-        // Snapshot DES: co-resident tasks share the NoI, so contention is
-        // measured on resident-set snapshots along the admission sequence.
-        let mut sim_latency = 0u64;
-        let mut packet_lat_weighted = 0.0;
-        let mut packets = 0u64;
-        let sim_cfg = SimConfig { packet_bytes: 256 };
-        let every = self.cfg.snapshot_every.max(1) as usize;
-        let n_snaps = outcome.snapshots.len();
-        for (si, snap) in outcome.snapshots.iter().enumerate() {
-            if si % every != 0 && si + 1 != n_snaps {
-                continue;
-            }
-            scratch.snapshot_flows.clear();
-            for t in snap {
-                match scratch.placement_slot.get(t.0 as usize) {
-                    Some(&slot) if slot != NO_SLOT => scratch
-                        .snapshot_flows
-                        .extend(scratch.task_flows[slot as usize].iter().copied()),
-                    _ => {}
-                }
-            }
-            if scratch.snapshot_flows.is_empty() {
-                continue;
-            }
-            sample_flows_into(
-                &scratch.snapshot_flows,
-                self.cfg.sim_sampling,
-                &mut scratch.sampled_flows,
-            );
-            let sim = simulate_with_scratch(
-                &self.topo,
-                &self.cfg.hw,
-                &scratch.sampled_flows,
-                &sim_cfg,
-                &self.route,
-                &mut scratch.sim,
-            );
-            sim_latency += sim.makespan_cycles;
-            packet_lat_weighted += sim.mean_packet_latency_cycles * sim.packets as f64;
-            packets += sim.packets;
-        }
-
         // Static NoI energy: the whole fabric idles for the serialized
         // communication time of the workload.
         let exec_ns = analytical_latency as f64 * self.cfg.hw.cycle_ns();
@@ -739,12 +729,8 @@ impl Platform25D {
             mean_utilization: outcome.mean_utilization,
             mapped_tasks: outcome.placements.len(),
             failed_tasks: outcome.failed.len(),
-            sim_latency_cycles: sim_latency,
-            mean_packet_latency_cycles: if packets == 0 {
-                0.0
-            } else {
-                packet_lat_weighted / packets as f64
-            },
+            sim_latency_cycles: 0,
+            mean_packet_latency_cycles: 0.0,
             analytical_latency_cycles: analytical_latency,
             noi_energy_pj: energy_pj + static_pj,
             noi_dynamic_energy_pj: energy_pj,
@@ -759,6 +745,64 @@ impl Platform25D {
             compute_energy_pj,
             compute_latency_ns,
         }
+    }
+
+    /// The DES stage of [`Platform25D::report_from_outcome`]: co-resident
+    /// tasks share the NoI, so contention is measured on resident-set
+    /// snapshots along the admission sequence, replayed over the flows
+    /// [`Platform25D::analytic_report`] left in scratch. Fills the
+    /// report's simulated latencies.
+    fn replay_snapshots(
+        &self,
+        outcome: &ChurnOutcome,
+        scratch: &mut SweepScratch,
+        rep: &mut WorkloadReport,
+    ) {
+        let mut sim_latency = 0u64;
+        let mut packet_lat_weighted = 0.0;
+        let mut packets = 0u64;
+        let sim_cfg = SimConfig { packet_bytes: 256 };
+        let every = self.cfg.snapshot_every.max(1) as usize;
+        let n_snaps = outcome.snapshots.len();
+        for (si, snap) in outcome.snapshots.iter().enumerate() {
+            if si % every != 0 && si + 1 != n_snaps {
+                continue;
+            }
+            scratch.snapshot_flows.clear();
+            for t in snap {
+                match scratch.placement_slot.get(t.0 as usize) {
+                    Some(&slot) if slot != NO_SLOT => scratch
+                        .snapshot_flows
+                        .extend(scratch.task_flows[slot as usize].iter().copied()),
+                    _ => {}
+                }
+            }
+            if scratch.snapshot_flows.is_empty() {
+                continue;
+            }
+            sample_flows_into(
+                &scratch.snapshot_flows,
+                self.cfg.sim_sampling,
+                &mut scratch.sampled_flows,
+            );
+            let sim = simulate_with_scratch(
+                &self.topo,
+                &self.cfg.hw,
+                &scratch.sampled_flows,
+                &sim_cfg,
+                &self.route,
+                &mut scratch.sim,
+            );
+            sim_latency += sim.makespan_cycles;
+            packet_lat_weighted += sim.mean_packet_latency_cycles * sim.packets as f64;
+            packets += sim.packets;
+        }
+        rep.sim_latency_cycles = sim_latency;
+        rep.mean_packet_latency_cycles = if packets == 0 {
+            0.0
+        } else {
+            packet_lat_weighted / packets as f64
+        };
     }
 }
 
@@ -879,6 +923,34 @@ mod tests {
             p.cost_searched_resolution(&wl, &graphs, &outcome, &res),
             srch
         );
+    }
+
+    #[test]
+    fn analytic_stage_matches_the_full_report_outside_the_des_fields() {
+        // Ranking reads only the analytic stage; this pins that the
+        // stage agrees with the full report on everything but the DES
+        // fields, so `report_edp` cannot come to depend on the replay.
+        let cfg = SystemConfig::datacenter_25d();
+        let p = Platform25D::new(NoiArch::Floret { lambda: 6 }, &cfg).unwrap();
+        let wl = dnn::table2_workload("WL3").unwrap();
+        let graphs = Platform25D::task_graphs(&wl);
+        let outcome = p.churn_outcome_from_graphs(&graphs);
+        let mut scratch = SweepScratch::new();
+        for maps in p.searched_candidates(&graphs) {
+            let model = CostModel::Mapped(&maps);
+            let full = p.report_from_outcome(&wl, &graphs, &outcome, &model, &mut scratch);
+            let analytic = p.analytic_report(&wl, &graphs, &outcome, &model, &mut scratch);
+            assert!(full.sim_latency_cycles > 0, "the DES stage ran");
+            assert_eq!(p.report_edp(&analytic), p.report_edp(&full));
+            assert_eq!(
+                analytic,
+                WorkloadReport {
+                    sim_latency_cycles: 0,
+                    mean_packet_latency_cycles: 0.0,
+                    ..full
+                }
+            );
+        }
     }
 
     #[test]

@@ -90,3 +90,34 @@ fn dirty_scratch_matches_fresh_under_searched() {
         p.cost_searched_resolution_scratch(&wl, &graphs, &outcome, &fresh_res, &mut scratch);
     assert_eq!(again, fresh_rep);
 }
+
+#[test]
+fn dirty_scratch_matches_fresh_after_another_cells_resolution() {
+    // The resolver ranks candidates on the analytic stage and replays
+    // the winner's snapshots through the same scratch, so a scratch left
+    // behind by another cell's resolution (other arch, other workload,
+    // a larger flow set) must not leak into this cell's result.
+    let resolve = |p: &Platform25D, wl: &Workload, scratch: &mut SweepScratch| {
+        let graphs = Platform25D::task_graphs(wl);
+        let outcome = p.churn_outcome_from_graphs(&graphs);
+        p.resolve_searched_scratch(wl, &graphs, &outcome, scratch)
+    };
+    let floret = platform(NoiArch::Floret { lambda: 6 });
+    let kite = platform(NoiArch::Kite);
+    let tiny = tiny_workload();
+    let wl3 = table2_workload("WL3").unwrap();
+
+    let (fresh_res, fresh_rep) = resolve(&floret, &tiny, &mut SweepScratch::new());
+    let (kite_fresh_res, kite_fresh_rep) = resolve(&kite, &wl3, &mut SweepScratch::new());
+
+    let mut scratch = SweepScratch::new();
+    resolve(&kite, &wl3, &mut scratch);
+    let (res, rep) = resolve(&floret, &tiny, &mut scratch);
+    assert_eq!(res.fingerprint, fresh_res.fingerprint);
+    assert_eq!(rep, fresh_rep);
+
+    // And back: the small cell's leftovers leave the large one intact.
+    let (res, rep) = resolve(&kite, &wl3, &mut scratch);
+    assert_eq!(res.fingerprint, kite_fresh_res.fingerprint);
+    assert_eq!(rep, kite_fresh_rep);
+}
