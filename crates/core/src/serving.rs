@@ -6,18 +6,31 @@
 //! [`mapper::ArrivalConfig`]); a deterministic round-robin load
 //! balancer spreads the merged stream over a fleet of `N` identical
 //! chips; each chip runs dynamic batching with a max-delay window and a
-//! bounded admission queue. The per-chip event loops ride the bucketed
-//! [`netsim::CalendarQueue`] (shared with the packet DES), so horizons
-//! of millions of events stay cheap, and one queue per worker thread is
-//! reused across sweep cells.
+//! bounded admission queue.
+//!
+//! One event loop serves both entry points. [`simulate_serving`] runs
+//! it on a healthy fleet and reports per-chip utilization;
+//! [`simulate_resilient_serving`] runs it under a [`FaultPlan`] and
+//! reports retries, failovers, timeouts and shedding. Within a load
+//! point every chip shares one bucketed [`netsim::CalendarQueue`]
+//! (shared with the packet DES) that holds only in-flight events:
+//! completions, batching windows, retries and chip edges. The arrival
+//! stream is already sorted, so the loop walks it with a cursor and
+//! merges it against [`netsim::CalendarQueue::peek`] instead of
+//! pushing every request into the calendar. One calendar per worker
+//! thread is reused across load points.
 //!
 //! # Determinism contract
 //!
-//! The outcome is bit-identical for any worker-thread count: the
-//! request stream is generated once, single-threaded, from seeded
-//! ChaCha8 processes; chips simulate independently on disjoint request
-//! subsets; and results merge in `(load, chip)` index order. Changing
-//! `threads` can only change wall-clock time.
+//! The outcome is bit-identical for any worker-thread count: each load
+//! point's request stream is generated once, single-threaded, from
+//! seeded ChaCha8 processes; load points simulate independently, each
+//! on one thread; and results merge in `spec.loads` order. Inside a
+//! load point events leave in one total `(time, key)` order — at one
+//! instant by tag (completion, chip up, window, arrival, retry, chip
+//! down), then chip, then request index — whether they come from the
+//! calendar or from the arrival cursor. Changing `threads` can only
+//! change wall-clock time.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -330,191 +343,13 @@ fn generate_stream(spec: &ServingSpec, load: f64, seed: u64) -> Vec<Request> {
     stream
 }
 
-/// Event tags, ordered so that at one instant a chip first retires its
-/// batch, then closes an expired window, then admits new arrivals —
-/// the serving analogue of "departures before arrivals".
-const TAG_COMPLETION: u64 = 0;
-const TAG_WINDOW: u64 = 1;
-const TAG_ARRIVAL: u64 = 2;
-
-fn event_key(tag: u64, id: u64) -> u64 {
-    (tag << 56) | (id & 0x00FF_FFFF_FFFF_FFFF)
-}
-
-/// Per-chip simulation result.
-#[derive(Clone, Debug)]
-struct ChipOutcome {
-    /// Completed-request latencies, in completion order.
-    latencies_ns: Vec<u64>,
-    rejected: u64,
-    batches: u64,
-    batched_requests: u64,
-    /// Busy nanoseconds per horizon slice (clipped to the horizon).
-    busy_ns: [u64; UTIL_SLICES],
-    events: u64,
-}
-
-thread_local! {
-    /// One calendar queue per worker thread, reused (via
-    /// [`CalendarQueue::clear`]) across every sweep cell that lands on
-    /// the thread.
-    static EVENT_QUEUE: RefCell<CalendarQueue> = RefCell::new(CalendarQueue::new(1024));
-}
-
-/// Simulates one chip's admission queue, batching window and service
-/// loop over its share of the request stream.
-fn simulate_chip(
-    requests: &[Request],
-    spec: &ServingSpec,
-    service_ns: &[u64],
-    horizon_ns: u64,
-) -> ChipOutcome {
-    EVENT_QUEUE.with(|q| {
-        let mut queue = q.borrow_mut();
-        queue.clear();
-        simulate_chip_with(&mut queue, requests, spec, service_ns, horizon_ns)
-    })
-}
-
-fn simulate_chip_with(
-    events: &mut CalendarQueue,
-    requests: &[Request],
-    spec: &ServingSpec,
-    service_ns: &[u64],
-    horizon_ns: u64,
-) -> ChipOutcome {
-    let window_ns = (spec.batch_window_us * 1e3).round() as u64;
-    let mut out = ChipOutcome {
-        latencies_ns: Vec::new(),
-        rejected: 0,
-        batches: 0,
-        batched_requests: 0,
-        busy_ns: [0; UTIL_SLICES],
-        events: 0,
-    };
-    for (i, r) in requests.iter().enumerate() {
-        events.push(r.arrival_ns, event_key(TAG_ARRIVAL, i as u64));
-    }
-
-    // FIFO admission queue of request indices (bounded by queue_depth).
-    let mut queue: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-    let mut busy = false;
-    // The batch currently in service (request indices).
-    let mut in_flight: Vec<u32> = Vec::new();
-    // Armed max-delay window: `Some(gen)` matches at most one pending
-    // window event; launching a batch invalidates it.
-    let mut armed: Option<u64> = None;
-    let mut window_gen = 0u64;
-    let slice_ns = horizon_ns.div_ceil(UTIL_SLICES as u64).max(1);
-
-    // Launches a batch from the queue head: up to `max_batch` queued
-    // requests of the head request's tenant, FIFO.
-    let launch = |now: u64,
-                  queue: &mut std::collections::VecDeque<u32>,
-                  in_flight: &mut Vec<u32>,
-                  armed: &mut Option<u64>,
-                  events: &mut CalendarQueue,
-                  out: &mut ChipOutcome| {
-        let head_tenant = requests[queue[0] as usize].tenant;
-        debug_assert!(in_flight.is_empty());
-        let mut kept = std::collections::VecDeque::with_capacity(queue.len());
-        for idx in queue.drain(..) {
-            if in_flight.len() < spec.max_batch && requests[idx as usize].tenant == head_tenant {
-                in_flight.push(idx);
-            } else {
-                kept.push_back(idx);
-            }
-        }
-        *queue = kept;
-        *armed = None;
-        let dur = batch_latency_ns(service_ns[head_tenant as usize], in_flight.len());
-        out.batches += 1;
-        out.batched_requests += in_flight.len() as u64;
-        // Accrue the busy interval [now, now + dur) into the horizon
-        // slices (clipped; drain past the horizon is not utilization).
-        let (mut t, end) = (now.min(horizon_ns), (now + dur).min(horizon_ns));
-        while t < end {
-            let slice = (t / slice_ns) as usize;
-            let slice_end = ((slice as u64 + 1) * slice_ns).min(end);
-            out.busy_ns[slice.min(UTIL_SLICES - 1)] += slice_end - t;
-            t = slice_end;
-        }
-        events.push(now + dur, event_key(TAG_COMPLETION, 0));
-    };
-
-    while let Some((now, key)) = events.pop() {
-        out.events += 1;
-        let (tag, id) = (key >> 56, key & 0x00FF_FFFF_FFFF_FFFF);
-        match tag {
-            TAG_COMPLETION => {
-                busy = false;
-                for idx in in_flight.drain(..) {
-                    out.latencies_ns
-                        .push(now - requests[idx as usize].arrival_ns);
-                }
-                if !queue.is_empty() {
-                    // Backlogged: the head already waited at least one
-                    // window; launch immediately (work-conserving).
-                    busy = true;
-                    launch(
-                        now,
-                        &mut queue,
-                        &mut in_flight,
-                        &mut armed,
-                        events,
-                        &mut out,
-                    );
-                }
-            }
-            TAG_WINDOW => {
-                if armed == Some(id) {
-                    armed = None;
-                    if !busy && !queue.is_empty() {
-                        busy = true;
-                        launch(
-                            now,
-                            &mut queue,
-                            &mut in_flight,
-                            &mut armed,
-                            events,
-                            &mut out,
-                        );
-                    }
-                }
-            }
-            TAG_ARRIVAL => {
-                if queue.len() >= spec.queue_depth {
-                    out.rejected += 1;
-                    continue;
-                }
-                queue.push_back(u32::try_from(id).expect("request id fits a u32"));
-                if !busy {
-                    if queue.len() >= spec.max_batch || window_ns == 0 {
-                        busy = true;
-                        launch(
-                            now,
-                            &mut queue,
-                            &mut in_flight,
-                            &mut armed,
-                            events,
-                            &mut out,
-                        );
-                    } else if armed.is_none() {
-                        window_gen += 1;
-                        armed = Some(window_gen);
-                        events.push(now + window_ns, event_key(TAG_WINDOW, window_gen));
-                    }
-                }
-            }
-            _ => unreachable!("unknown serving event tag {tag}"),
-        }
-    }
-    out
-}
-
-/// Runs the serving sweep: for every offered-load point, generates the
-/// multi-tenant stream, shards it round-robin over the fleet, and
-/// simulates every `(load, chip)` cell across `threads` workers.
+/// Runs the serving sweep on a healthy fleet: for every offered-load
+/// point, generates the multi-tenant stream, shards it round-robin over
+/// the fleet, and simulates the load points across `threads` workers.
+///
+/// This is the fleet loop of [`simulate_resilient_serving`] under
+/// [`ResilienceParams::healthy`], reported with the per-chip
+/// utilization timeline instead of the fault counters.
 ///
 /// `service_ns` is the per-tenant single-request service latency
 /// (indexed like `spec.tenants`), typically derived from the PIM
@@ -530,87 +365,30 @@ pub fn simulate_serving(
     seed: u64,
     threads: usize,
 ) -> ServingOutcome {
-    assert_eq!(service_ns.len(), spec.tenants.len());
-    assert!(
-        service_ns.iter().all(|&s| s > 0),
-        "service latencies must be positive"
-    );
-    let horizon_ns = (spec.horizon_ms * 1e6).round() as u64;
-
-    // Generate every load point's stream once, single-threaded, and
-    // shard it round-robin in global arrival order.
-    let mut cells: Vec<(usize, usize, Vec<Request>)> = Vec::new();
-    let mut offered: Vec<u64> = Vec::new();
-    for (li, &load) in spec.loads.iter().enumerate() {
-        let stream = generate_stream(spec, load, seed);
-        offered.push(stream.len() as u64);
-        let mut per_chip: Vec<Vec<Request>> = vec![Vec::new(); spec.fleet];
-        for (i, r) in stream.into_iter().enumerate() {
-            per_chip[i % spec.fleet].push(r);
-        }
-        for (ci, reqs) in per_chip.into_iter().enumerate() {
-            cells.push((li, ci, reqs));
-        }
-    }
-
-    let chip_outcomes = parallel_map(&cells, threads, |(_, _, reqs)| {
-        simulate_chip(reqs, spec, service_ns, horizon_ns)
-    });
-
-    let slice_ns = horizon_ns.div_ceil(UTIL_SLICES as u64).max(1) as f64;
-    let mut per_load = Vec::with_capacity(spec.loads.len());
-    let mut total_events = 0u64;
-    for (li, &load) in spec.loads.iter().enumerate() {
-        let chips: Vec<&ChipOutcome> = cells
-            .iter()
-            .zip(&chip_outcomes)
-            .filter(|((l, _, _), _)| *l == li)
-            .map(|(_, o)| o)
+    let healthy = ResilienceParams::healthy();
+    let per_load: Vec<LoadPointOutcome> =
+        simulate_points(spec, &healthy, service_ns, seed, threads)
+            .into_iter()
+            .map(|(p, chip_util)| LoadPointOutcome {
+                load: p.load,
+                offered_rps: p.offered_rps,
+                offered: p.offered,
+                completed: p.completed,
+                rejected: p.rejected,
+                p50_ns: p.p50_ns,
+                p95_ns: p.p95_ns,
+                p99_ns: p.p99_ns,
+                slo_attainment: p.slo_attainment,
+                mean_batch: p.mean_batch,
+                chip_util,
+                latencies_ns: p.latencies_ns,
+                events: p.events,
+            })
             .collect();
-        let mut latencies: Vec<u64> = chips
-            .iter()
-            .flat_map(|c| c.latencies_ns.iter().copied())
-            .collect();
-        latencies.sort_unstable();
-        let rejected: u64 = chips.iter().map(|c| c.rejected).sum();
-        let batches: u64 = chips.iter().map(|c| c.batches).sum();
-        let batched: u64 = chips.iter().map(|c| c.batched_requests).sum();
-        let events: u64 = chips.iter().map(|c| c.events).sum();
-        total_events += events;
-        let slo_ns = (spec.slo_ms * 1e6) as u64;
-        let attained = latencies.partition_point(|&l| l <= slo_ns) as u64;
-        let chip_util: Vec<Vec<f64>> = chips
-            .iter()
-            .map(|c| c.busy_ns.iter().map(|&b| b as f64 / slice_ns).collect())
-            .collect();
-        per_load.push(LoadPointOutcome {
-            load,
-            offered_rps: spec.offered_rps(load),
-            offered: offered[li],
-            completed: latencies.len() as u64,
-            rejected,
-            p50_ns: percentile_nearest_rank(&latencies, 50),
-            p95_ns: percentile_nearest_rank(&latencies, 95),
-            p99_ns: percentile_nearest_rank(&latencies, 99),
-            slo_attainment: if offered[li] == 0 {
-                1.0
-            } else {
-                attained as f64 / offered[li] as f64
-            },
-            mean_batch: if batches == 0 {
-                0.0
-            } else {
-                batched as f64 / batches as f64
-            },
-            chip_util,
-            latencies_ns: latencies,
-            events,
-        });
-    }
     ServingOutcome {
-        requests: offered.iter().sum(),
+        requests: per_load.iter().map(|l| l.offered).sum(),
+        events: per_load.iter().map(|l| l.events).sum(),
         per_load,
-        events: total_events,
     }
 }
 
@@ -650,8 +428,8 @@ pub struct ResilienceParams {
 
 impl ResilienceParams {
     /// A healthy fleet: no faults, no shedding, no throttling. With
-    /// these parameters [`simulate_resilient_serving`] is observably
-    /// identical to [`simulate_serving`].
+    /// these parameters [`simulate_resilient_serving`] runs exactly the
+    /// simulation behind [`simulate_serving`].
     pub fn healthy() -> ResilienceParams {
         ResilienceParams {
             plan: FaultPlan::empty(),
@@ -730,8 +508,7 @@ pub struct ResilienceOutcome {
 /// Fleet event tags, ordered so that at one instant a chip first
 /// retires its batch, repaired chips come back, windows close, new
 /// arrivals and retries are admitted, and chip failures strike last —
-/// the per-chip `completion < window < arrival` order is preserved, so
-/// an empty fault plan replays [`simulate_serving`] exactly.
+/// the serving analogue of "departures before arrivals".
 const FTAG_COMPLETION: u64 = 0;
 const FTAG_CHIP_UP: u64 = 1;
 const FTAG_WINDOW: u64 = 2;
@@ -740,8 +517,7 @@ const FTAG_RETRY: u64 = 4;
 const FTAG_CHIP_DOWN: u64 = 5;
 
 /// Fleet event key: tag (8 bits) | chip (16 bits) | id (40 bits). Ties
-/// at one instant order by tag, then chip, then id — within a chip the
-/// same order as the per-chip loop's [`event_key`].
+/// at one instant order by tag, then chip, then id.
 fn fleet_key(tag: u64, chip: usize, id: u64) -> u64 {
     (tag << 56) | ((chip as u64) << 40) | (id & 0xFF_FFFF_FFFF)
 }
@@ -766,18 +542,26 @@ struct ChipState {
     blocked_until: u64,
     batches: u64,
     batched_requests: u64,
+    /// Busy nanoseconds per horizon slice (clipped to the horizon).
+    busy_ns: [u64; UTIL_SLICES],
 }
 
-/// Reusable per-thread scratch of the resilient fleet loop: the bucket
-/// calendar plus the per-request retry counters, recycled across every
+/// Reusable per-thread scratch of the fleet loop, recycled across every
 /// load point that lands on the worker thread.
 // pim-lint: scratch
 #[derive(Debug)]
 struct FaultScratch {
-    /// Fleet-wide event calendar.
+    /// Fleet-wide calendar of in-flight events: completions, windows,
+    /// retries and chip edges. Arrivals never enter it.
     events: CalendarQueue,
     /// Retry attempts per request, indexed by global request id.
     attempts: Vec<u32>,
+    /// Arrival keys of the current same-instant group, descending, so
+    /// `pop` yields them in calendar order.
+    ties: Vec<u64>,
+    /// Requests drained off a failing chip: its lost batch, then its
+    /// orphaned queue.
+    drained: Vec<u64>,
 }
 
 impl FaultScratch {
@@ -785,14 +569,18 @@ impl FaultScratch {
         FaultScratch {
             events: CalendarQueue::new(1024),
             attempts: Vec::new(),
+            ties: Vec::new(),
+            drained: Vec::new(),
         }
     }
 
-    /// Clears both fields for a fresh run over `n` requests.
+    /// Clears every field for a fresh run over `n` requests.
     fn reset(&mut self, n: usize) {
         self.events.clear();
         self.attempts.clear();
         self.attempts.resize(n, 0);
+        self.ties.clear();
+        self.drained.clear();
     }
 }
 
@@ -808,14 +596,21 @@ struct FleetSim<'a> {
     spec: &'a ServingSpec,
     params: &'a ResilienceParams,
     service_ns: &'a [u64],
+    /// The load point's stream, ascending by arrival time.
     requests: &'a [Request],
+    scratch: &'a mut FaultScratch,
     window_ns: u64,
+    horizon_ns: u64,
+    slice_ns: u64,
     chips: Vec<ChipState>,
     /// Per-chip thermal throttle windows, ascending and disjoint.
     throttles: Vec<Vec<(u64, u64)>>,
     /// Chips currently down (degraded mode while > 0).
     down_count: usize,
-    attempts: &'a mut [u32],
+    /// First request not yet staged in `scratch.ties`.
+    next_arrival: usize,
+    /// Arrival instant of the requests staged in `scratch.ties`.
+    tie_ns: u64,
     latencies: Vec<u64>,
     rejected: u64,
     timed_out: u64,
@@ -825,7 +620,116 @@ struct FleetSim<'a> {
     event_count: u64,
 }
 
-impl FleetSim<'_> {
+impl<'a> FleetSim<'a> {
+    /// A fresh load point over `requests`: every chip up and idle, the
+    /// plan's chip edges in the (reset) calendar, arrivals still ahead
+    /// of the cursor.
+    fn new(
+        spec: &'a ServingSpec,
+        params: &'a ResilienceParams,
+        service_ns: &'a [u64],
+        requests: &'a [Request],
+        scratch: &'a mut FaultScratch,
+    ) -> FleetSim<'a> {
+        scratch.reset(requests.len());
+        let mut chips = vec![ChipState::default(); spec.fleet];
+        for c in &mut chips {
+            c.up = true;
+        }
+        let mut throttles = vec![Vec::new(); spec.fleet];
+        if params.throttle_slowdown > 1.0 {
+            for w in &params.plan.throttles {
+                if (w.chip as usize) < spec.fleet {
+                    throttles[w.chip as usize].push((w.start_ns, w.end_ns));
+                }
+            }
+        }
+        for (k, cf) in params.plan.chip_faults.iter().enumerate() {
+            if (cf.chip as usize) < spec.fleet {
+                let chip = cf.chip as usize;
+                let events = &mut scratch.events;
+                events.push(cf.down_ns, fleet_key(FTAG_CHIP_DOWN, chip, k as u64));
+                events.push(cf.up_ns, fleet_key(FTAG_CHIP_UP, chip, k as u64));
+            }
+        }
+        let horizon_ns = (spec.horizon_ms * 1e6).round() as u64;
+        FleetSim {
+            spec,
+            params,
+            service_ns,
+            requests,
+            scratch,
+            window_ns: (spec.batch_window_us * 1e3).round() as u64,
+            horizon_ns,
+            slice_ns: horizon_ns.div_ceil(UTIL_SLICES as u64).max(1),
+            chips,
+            throttles,
+            down_count: 0,
+            next_arrival: 0,
+            tie_ns: 0,
+            latencies: Vec::new(),
+            rejected: 0,
+            timed_out: 0,
+            retries: 0,
+            failovers: 0,
+            shed: 0,
+            event_count: 0,
+        }
+    }
+
+    /// The finished load point's statistics plus each chip's busy
+    /// fraction per horizon slice (`chip_util[chip][slice]`).
+    fn finish(mut self, load: f64) -> PointRun {
+        let offered = self.requests.len() as u64;
+        debug_assert_eq!(
+            offered,
+            self.latencies.len() as u64 + self.rejected + self.timed_out,
+            "request conservation: injected = completed + rejected + timed out"
+        );
+        self.latencies.sort_unstable();
+        let slo_ns = (self.spec.slo_ms * 1e6) as u64;
+        let attained = self.latencies.partition_point(|&l| l <= slo_ns) as u64;
+        let batches: u64 = self.chips.iter().map(|c| c.batches).sum();
+        let batched: u64 = self.chips.iter().map(|c| c.batched_requests).sum();
+        let chip_util = self
+            .chips
+            .iter()
+            .map(|c| {
+                c.busy_ns
+                    .iter()
+                    .map(|&b| b as f64 / self.slice_ns as f64)
+                    .collect()
+            })
+            .collect();
+        let point = ResiliencePointOutcome {
+            load,
+            offered_rps: self.spec.offered_rps(load),
+            offered,
+            completed: self.latencies.len() as u64,
+            rejected: self.rejected,
+            timed_out: self.timed_out,
+            retries: self.retries,
+            failovers: self.failovers,
+            shed: self.shed,
+            p50_ns: percentile_nearest_rank(&self.latencies, 50),
+            p95_ns: percentile_nearest_rank(&self.latencies, 95),
+            p99_ns: percentile_nearest_rank(&self.latencies, 99),
+            slo_attainment: if offered == 0 {
+                1.0
+            } else {
+                attained as f64 / offered as f64
+            },
+            mean_batch: if batches == 0 {
+                0.0
+            } else {
+                batched as f64 / batches as f64
+            },
+            latencies_ns: self.latencies,
+            events: self.event_count,
+        };
+        (point, chip_util)
+    }
+
     /// Admission queue depth right now: the configured depth, shrunk by
     /// the shed fraction while any chip is down.
     fn effective_depth(&self) -> usize {
@@ -854,25 +758,24 @@ impl FleetSim<'_> {
     }
 
     /// Launches a batch from `chip`'s queue head: up to `max_batch`
-    /// queued requests of the head request's tenant, FIFO — the same
-    /// policy as the per-chip loop, plus the re-mapping stall and the
-    /// throttle slowdown.
-    fn launch(&mut self, events: &mut CalendarQueue, chip: usize, now: u64) {
+    /// queued requests of the head request's tenant, FIFO, delayed by
+    /// the re-mapping stall and slowed inside a throttle window.
+    fn launch(&mut self, chip: usize, now: u64) {
         let throttle = self.throttled(chip, now.max(self.chips[chip].blocked_until));
+        let (requests, max_batch) = (self.requests, self.spec.max_batch);
         let st = &mut self.chips[chip];
-        let head_tenant = self.requests[st.queue[0] as usize].tenant;
+        let head_tenant = requests[st.queue[0] as usize].tenant;
         debug_assert!(st.in_flight.is_empty());
-        let mut kept = VecDeque::with_capacity(st.queue.len());
-        for idx in st.queue.drain(..) {
-            if st.in_flight.len() < self.spec.max_batch
-                && self.requests[idx as usize].tenant == head_tenant
-            {
-                st.in_flight.push(idx);
-            } else {
-                kept.push_back(idx);
+        // Move the batch out of the queue in place; the rest keeps its
+        // FIFO order.
+        let in_flight = &mut st.in_flight;
+        st.queue.retain(|&idx| {
+            let take = in_flight.len() < max_batch && requests[idx as usize].tenant == head_tenant;
+            if take {
+                in_flight.push(idx);
             }
-        }
-        st.queue = kept;
+            !take
+        });
         st.armed = None;
         let start = now.max(st.blocked_until);
         let mut dur = batch_latency_ns(self.service_ns[head_tenant as usize], st.in_flight.len());
@@ -881,26 +784,40 @@ impl FleetSim<'_> {
         }
         st.batches += 1;
         st.batched_requests += st.in_flight.len() as u64;
-        events.push(start + dur, fleet_key(FTAG_COMPLETION, chip, st.comp_gen));
+        // Accrue the busy interval [start, start + dur) into the horizon
+        // slices (clipped; drain past the horizon is not utilization).
+        let (mut t, end) = (
+            start.min(self.horizon_ns),
+            (start + dur).min(self.horizon_ns),
+        );
+        while t < end {
+            let slice = (t / self.slice_ns) as usize;
+            let slice_end = ((slice as u64 + 1) * self.slice_ns).min(end);
+            st.busy_ns[slice.min(UTIL_SLICES - 1)] += slice_end - t;
+            t = slice_end;
+        }
+        self.scratch
+            .events
+            .push(start + dur, fleet_key(FTAG_COMPLETION, chip, st.comp_gen));
     }
 
-    /// Admits request `idx` to `target`'s queue (launching or arming the
-    /// batching window exactly as the per-chip loop does). `false` when
-    /// the queue is full at the current effective depth.
-    fn admit(&mut self, events: &mut CalendarQueue, target: usize, idx: u64, now: u64) -> bool {
+    /// Admits request `idx` to `target`'s queue, launching a batch or
+    /// arming the batching window. `false` when the queue is full at the
+    /// current effective depth.
+    fn admit(&mut self, target: usize, idx: u64, now: u64) -> bool {
         if self.chips[target].queue.len() >= self.effective_depth() {
             return false;
         }
-        self.chips[target].queue.push_back(idx);
-        if !self.chips[target].busy {
-            if self.chips[target].queue.len() >= self.spec.max_batch || self.window_ns == 0 {
-                self.chips[target].busy = true;
-                self.launch(events, target, now);
-            } else if self.chips[target].armed.is_none() {
-                let st = &mut self.chips[target];
+        let st = &mut self.chips[target];
+        st.queue.push_back(idx);
+        if !st.busy {
+            if st.queue.len() >= self.spec.max_batch || self.window_ns == 0 {
+                st.busy = true;
+                self.launch(target, now);
+            } else if st.armed.is_none() {
                 st.window_gen += 1;
                 st.armed = Some(st.window_gen);
-                events.push(
+                self.scratch.events.push(
                     now + self.window_ns,
                     fleet_key(FTAG_WINDOW, target, st.window_gen),
                 );
@@ -921,27 +838,63 @@ impl FleetSim<'_> {
     /// Request `idx` was lost (its chip failed, or no chip could take
     /// it): schedule a bounded-backoff retry, or drop it as timed out
     /// when retries or the deadline are exhausted.
-    fn retry_or_timeout(&mut self, events: &mut CalendarQueue, idx: u64, now: u64) {
-        let attempts = &mut self.attempts[idx as usize];
+    fn retry_or_timeout(&mut self, idx: u64, now: u64) {
+        let attempts = &mut self.scratch.attempts[idx as usize];
         *attempts += 1;
+        let attempts = *attempts;
         let deadline = self.requests[idx as usize].arrival_ns + self.params.retry.timeout_ns();
-        if *attempts > self.params.retry.max_retries {
+        if attempts > self.params.retry.max_retries {
             self.timed_out += 1;
             return;
         }
-        let at = now + self.params.retry.backoff_ns(*attempts);
+        let at = now + self.params.retry.backoff_ns(attempts);
         if at > deadline {
             self.timed_out += 1;
             return;
         }
         self.retries += 1;
         let home = (idx as usize) % self.chips.len();
-        events.push(at, fleet_key(FTAG_RETRY, home, idx));
+        self.scratch
+            .events
+            .push(at, fleet_key(FTAG_RETRY, home, idx));
     }
 
-    /// Drains the calendar to completion.
-    fn run(&mut self, events: &mut CalendarQueue) {
-        while let Some((now, key)) = events.pop() {
+    /// The next arrival event `(time, fleet_key)` without consuming it.
+    /// Requests arriving at one instant are staged in `scratch.ties` so
+    /// they leave in key order (chip, then index), as the calendar would
+    /// order them; consuming one is `scratch.ties.pop()`.
+    fn peek_arrival(&mut self) -> Option<(u64, u64)> {
+        if self.scratch.ties.is_empty() {
+            let t = self.requests.get(self.next_arrival)?.arrival_ns;
+            let fleet = self.chips.len();
+            while let Some(r) = self.requests.get(self.next_arrival) {
+                if r.arrival_ns != t {
+                    break;
+                }
+                let i = self.next_arrival;
+                self.scratch
+                    .ties
+                    .push(fleet_key(FTAG_ARRIVAL, i % fleet, i as u64));
+                self.next_arrival += 1;
+            }
+            self.scratch.ties.sort_unstable_by(|a, b| b.cmp(a));
+            self.tie_ns = t;
+        }
+        self.scratch.ties.last().map(|&key| (self.tie_ns, key))
+    }
+
+    /// Runs the load point to completion, merging the sorted arrival
+    /// stream against the calendar in exact `(time, key)` order.
+    fn run(&mut self) {
+        loop {
+            let next = match self.peek_arrival() {
+                Some(arrival) if self.scratch.events.peek().is_none_or(|ev| arrival < ev) => {
+                    self.scratch.ties.pop();
+                    Some(arrival)
+                }
+                _ => self.scratch.events.pop(),
+            };
+            let Some((now, key)) = next else { break };
             self.event_count += 1;
             let tag = key >> 56;
             let chip = ((key >> 40) & 0xFFFF) as usize;
@@ -951,15 +904,18 @@ impl FleetSim<'_> {
                     if !self.chips[chip].up || id != self.chips[chip].comp_gen {
                         continue; // the chip failed after this batch launched
                     }
-                    self.chips[chip].busy = false;
-                    let done: Vec<u64> = self.chips[chip].in_flight.drain(..).collect();
-                    for idx in done {
+                    let st = &mut self.chips[chip];
+                    st.busy = false;
+                    for &idx in &st.in_flight {
                         self.latencies
                             .push(now - self.requests[idx as usize].arrival_ns);
                     }
-                    if !self.chips[chip].queue.is_empty() {
-                        self.chips[chip].busy = true;
-                        self.launch(events, chip, now);
+                    st.in_flight.clear();
+                    if !st.queue.is_empty() {
+                        // Backlogged: the head already waited at least
+                        // one window; launch immediately.
+                        st.busy = true;
+                        self.launch(chip, now);
                     }
                 }
                 FTAG_CHIP_UP => {
@@ -969,23 +925,24 @@ impl FleetSim<'_> {
                     }
                 }
                 FTAG_WINDOW => {
-                    if self.chips[chip].armed == Some(id) {
-                        self.chips[chip].armed = None;
-                        if !self.chips[chip].busy && !self.chips[chip].queue.is_empty() {
-                            self.chips[chip].busy = true;
-                            self.launch(events, chip, now);
+                    let st = &mut self.chips[chip];
+                    if st.armed == Some(id) {
+                        st.armed = None;
+                        if !st.busy && !st.queue.is_empty() {
+                            st.busy = true;
+                            self.launch(chip, now);
                         }
                     }
                 }
                 FTAG_ARRIVAL => {
                     let home = (id as usize) % self.chips.len();
                     match self.route(home) {
-                        None => self.retry_or_timeout(events, id, now),
+                        None => self.retry_or_timeout(id, now),
                         Some(t) => {
                             if t != home {
                                 self.failovers += 1;
                             }
-                            if !self.admit(events, t, id, now) {
+                            if !self.admit(t, id, now) {
                                 self.reject(t);
                             }
                         }
@@ -997,10 +954,10 @@ impl FleetSim<'_> {
                         // Nowhere to land (fleet down or target full):
                         // back off again rather than reject an already
                         // admitted-once request.
-                        None => self.retry_or_timeout(events, id, now),
+                        None => self.retry_or_timeout(id, now),
                         Some(t) => {
-                            if !self.admit(events, t, id, now) {
-                                self.retry_or_timeout(events, id, now);
+                            if !self.admit(t, id, now) {
+                                self.retry_or_timeout(id, now);
                             }
                         }
                     }
@@ -1015,26 +972,30 @@ impl FleetSim<'_> {
                     st.busy = false;
                     st.armed = None;
                     st.comp_gen += 1;
-                    let lost: Vec<u64> = st.in_flight.drain(..).collect();
-                    let orphans: Vec<u64> = st.queue.drain(..).collect();
+                    let mut drained = std::mem::take(&mut self.scratch.drained);
+                    let lost = st.in_flight.len();
+                    drained.append(&mut st.in_flight);
+                    drained.extend(st.queue.drain(..));
                     // In-flight work on the dead chip is lost: clients
                     // retry with backoff against their deadline.
-                    for idx in lost {
-                        self.retry_or_timeout(events, idx, now);
+                    for &idx in &drained[..lost] {
+                        self.retry_or_timeout(idx, now);
                     }
                     // Queued-but-unserved requests fail over to the
                     // surviving chips in FIFO order.
-                    for idx in orphans {
+                    for &idx in &drained[lost..] {
                         match self.route((idx as usize) % self.chips.len()) {
-                            None => self.retry_or_timeout(events, idx, now),
+                            None => self.retry_or_timeout(idx, now),
                             Some(t) => {
                                 self.failovers += 1;
-                                if !self.admit(events, t, idx, now) {
+                                if !self.admit(t, idx, now) {
                                     self.reject(t);
                                 }
                             }
                         }
                     }
+                    drained.clear();
+                    self.scratch.drained = drained;
                     // Survivors stall while the mapper re-packs the lost
                     // chip's share of the workload.
                     if self.params.remap_penalty_ns > 0 {
@@ -1053,15 +1014,48 @@ impl FleetSim<'_> {
     }
 }
 
+/// One load point's fleet-loop result: its statistics and each chip's
+/// busy fraction per horizon slice. Both public entry points project it.
+type PointRun = (ResiliencePointOutcome, Vec<Vec<f64>>);
+
+/// The fleet loop behind both public entry points: generates every load
+/// point's stream once, single-threaded, then simulates the load points
+/// independently across `threads` workers, in `spec.loads` order.
+fn simulate_points(
+    spec: &ServingSpec,
+    params: &ResilienceParams,
+    service_ns: &[u64],
+    seed: u64,
+    threads: usize,
+) -> Vec<PointRun> {
+    assert_eq!(service_ns.len(), spec.tenants.len());
+    assert!(
+        service_ns.iter().all(|&s| s > 0),
+        "service latencies must be positive"
+    );
+    let streams: Vec<(f64, Vec<Request>)> = spec
+        .loads
+        .iter()
+        .map(|&load| (load, generate_stream(spec, load, seed)))
+        .collect();
+    parallel_map(&streams, threads, |(load, requests)| {
+        FAULT_SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            let mut sim = FleetSim::new(spec, params, service_ns, requests, scratch);
+            sim.run();
+            sim.finish(*load)
+        })
+    })
+}
+
 /// Runs the serving sweep under a fault plan: for every offered-load
 /// point the whole fleet shares one calendar, so chip failures and
 /// repairs, bounded-backoff retries, failovers, degraded-mode shedding
 /// and re-mapping stalls replay in one deterministic order.
 ///
-/// With [`ResilienceParams::healthy`] this is observably identical to
-/// [`simulate_serving`] (same streams, same per-chip policy, same
-/// counters) — pinned by a unit test and the `resilience` golden's
-/// zero-fault row.
+/// With [`ResilienceParams::healthy`] this runs exactly the simulation
+/// behind [`simulate_serving`] (same streams, same policy, same
+/// counters) — pinned by the `resilience` golden's zero-fault row.
 ///
 /// Request accounting is conservative by construction and checked in
 /// debug builds: `offered == completed + rejected + timed_out` at every
@@ -1078,116 +1072,11 @@ pub fn simulate_resilient_serving(
     seed: u64,
     threads: usize,
 ) -> ResilienceOutcome {
-    assert_eq!(service_ns.len(), spec.tenants.len());
-    assert!(
-        service_ns.iter().all(|&s| s > 0),
-        "service latencies must be positive"
-    );
-    let window_ns = (spec.batch_window_us * 1e3).round() as u64;
-    let slo_ns = (spec.slo_ms * 1e6) as u64;
-
-    // Streams are generated once, single-threaded, with the same seeds
-    // as `simulate_serving`; load points then simulate independently.
-    let streams: Vec<(f64, Vec<Request>)> = spec
-        .loads
-        .iter()
-        .map(|&load| (load, generate_stream(spec, load, seed)))
-        .collect();
-
-    let per_load = parallel_map(&streams, threads, |(load, requests)| {
-        FAULT_SCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
-            scratch.reset(requests.len());
-            let mut chips = vec![ChipState::default(); spec.fleet];
-            for c in &mut chips {
-                c.up = true;
-            }
-            let mut throttles = vec![Vec::new(); spec.fleet];
-            if params.throttle_slowdown > 1.0 {
-                for w in &params.plan.throttles {
-                    if (w.chip as usize) < spec.fleet {
-                        throttles[w.chip as usize].push((w.start_ns, w.end_ns));
-                    }
-                }
-            }
-            let events = &mut scratch.events;
-            for (i, r) in requests.iter().enumerate() {
-                events.push(
-                    r.arrival_ns,
-                    fleet_key(FTAG_ARRIVAL, i % spec.fleet, i as u64),
-                );
-            }
-            for (k, cf) in params.plan.chip_faults.iter().enumerate() {
-                if (cf.chip as usize) < spec.fleet {
-                    events.push(
-                        cf.down_ns,
-                        fleet_key(FTAG_CHIP_DOWN, cf.chip as usize, k as u64),
-                    );
-                    events.push(
-                        cf.up_ns,
-                        fleet_key(FTAG_CHIP_UP, cf.chip as usize, k as u64),
-                    );
-                }
-            }
-            let mut sim = FleetSim {
-                spec,
-                params,
-                service_ns,
-                requests,
-                window_ns,
-                chips,
-                throttles,
-                down_count: 0,
-                attempts: &mut scratch.attempts,
-                latencies: Vec::new(),
-                rejected: 0,
-                timed_out: 0,
-                retries: 0,
-                failovers: 0,
-                shed: 0,
-                event_count: 0,
-            };
-            sim.run(events);
-
-            let offered = requests.len() as u64;
-            debug_assert_eq!(
-                offered,
-                sim.latencies.len() as u64 + sim.rejected + sim.timed_out,
-                "request conservation: injected = completed + rejected + timed out"
-            );
-            sim.latencies.sort_unstable();
-            let attained = sim.latencies.partition_point(|&l| l <= slo_ns) as u64;
-            let batches: u64 = sim.chips.iter().map(|c| c.batches).sum();
-            let batched: u64 = sim.chips.iter().map(|c| c.batched_requests).sum();
-            ResiliencePointOutcome {
-                load: *load,
-                offered_rps: spec.offered_rps(*load),
-                offered,
-                completed: sim.latencies.len() as u64,
-                rejected: sim.rejected,
-                timed_out: sim.timed_out,
-                retries: sim.retries,
-                failovers: sim.failovers,
-                shed: sim.shed,
-                p50_ns: percentile_nearest_rank(&sim.latencies, 50),
-                p95_ns: percentile_nearest_rank(&sim.latencies, 95),
-                p99_ns: percentile_nearest_rank(&sim.latencies, 99),
-                slo_attainment: if offered == 0 {
-                    1.0
-                } else {
-                    attained as f64 / offered as f64
-                },
-                mean_batch: if batches == 0 {
-                    0.0
-                } else {
-                    batched as f64 / batches as f64
-                },
-                latencies_ns: sim.latencies,
-                events: sim.event_count,
-            }
-        })
-    });
-
+    let per_load: Vec<ResiliencePointOutcome> =
+        simulate_points(spec, params, service_ns, seed, threads)
+            .into_iter()
+            .map(|(point, _)| point)
+            .collect();
     ResilienceOutcome {
         requests: per_load.iter().map(|l| l.offered).sum(),
         events: per_load.iter().map(|l| l.events).sum(),
@@ -1447,31 +1336,99 @@ mod tests {
         }
     }
 
-    #[test]
-    fn healthy_fleet_loop_replays_simulate_serving_exactly() {
-        let s = spec();
-        let svc = service();
-        let base = simulate_serving(&s, &svc, 7, 2);
-        let res = simulate_resilient_serving(&s, &ResilienceParams::healthy(), &svc, 7, 2);
-        assert_eq!(base.per_load.len(), res.per_load.len());
-        for (b, r) in base.per_load.iter().zip(&res.per_load) {
-            assert_eq!(b.load, r.load);
-            assert_eq!(b.offered_rps, r.offered_rps);
-            assert_eq!(b.offered, r.offered);
-            assert_eq!(b.completed, r.completed);
-            assert_eq!(b.rejected, r.rejected);
-            assert_eq!(r.timed_out, 0);
-            assert_eq!(r.retries, 0);
-            assert_eq!(r.failovers, 0);
-            assert_eq!(r.shed, 0);
-            assert_eq!(b.latencies_ns, r.latencies_ns);
-            assert_eq!(b.p50_ns, r.p50_ns);
-            assert_eq!(b.p95_ns, r.p95_ns);
-            assert_eq!(b.p99_ns, r.p99_ns);
-            assert_eq!(b.slo_attainment, r.slo_attainment);
-            assert_eq!(b.mean_batch, r.mean_batch);
+    /// One load point through the fleet loop; with `in_calendar`, every
+    /// arrival is pushed into the calendar up front and the cursor starts
+    /// exhausted, so the calendar alone orders them.
+    fn run_point(
+        spec: &ServingSpec,
+        params: &ResilienceParams,
+        service_ns: &[u64],
+        load: f64,
+        in_calendar: bool,
+    ) -> PointRun {
+        let requests = generate_stream(spec, load, 13);
+        let mut scratch = FaultScratch::new();
+        let mut sim = FleetSim::new(spec, params, service_ns, &requests, &mut scratch);
+        if in_calendar {
+            for (i, r) in requests.iter().enumerate() {
+                sim.scratch.events.push(
+                    r.arrival_ns,
+                    fleet_key(FTAG_ARRIVAL, i % spec.fleet, i as u64),
+                );
+            }
+            sim.next_arrival = requests.len();
         }
-        assert_eq!(base.requests, res.requests);
+        sim.run();
+        sim.finish(load)
+    }
+
+    #[test]
+    fn merged_arrivals_replay_the_all_in_calendar_order_under_faults() {
+        // Nanosecond services, windows and backoffs make arrivals (four
+        // at one instant from the bursty tenant), completions, windows,
+        // retries and chip edges collide at one instant, while outages
+        // steer same-instant arrivals of several chips onto one
+        // survivor, where their order decides admission.
+        let tenant = |model: &str, process: ArrivalProcess| TenantSpec {
+            model: model.to_string(),
+            rate_rps: 1.5e8,
+            process,
+        };
+        let s = ServingSpec {
+            fleet: 3,
+            horizon_ms: 0.02,
+            batch_window_us: 0.004,
+            max_batch: 3,
+            queue_depth: 4,
+            tenants: vec![
+                tenant("M1", ArrivalProcess::Poisson),
+                tenant("M9", ArrivalProcess::Bursty { burst: 4 }),
+                tenant("M13", ArrivalProcess::Poisson),
+            ],
+            ..spec()
+        };
+        let fault = |chip, down_ns, up_ns| crate::faults::ChipFault {
+            chip,
+            down_ns,
+            up_ns,
+        };
+        let p = ResilienceParams {
+            plan: FaultPlan {
+                chip_faults: vec![
+                    fault(0, 2_000, 9_000),
+                    fault(1, 5_000, 6_000),
+                    fault(1, 12_000, 15_000),
+                    fault(2, 14_000, 16_000),
+                ],
+                link_faults: Vec::new(),
+                throttles: vec![crate::faults::ThrottleWindow {
+                    chip: 2,
+                    start_ns: 1_000,
+                    end_ns: 8_000,
+                }],
+            },
+            retry: RetryPolicy {
+                max_retries: 3,
+                backoff_base_us: 0.002,
+                backoff_cap_us: 0.016,
+                timeout_ms: 0.01,
+            },
+            shed_fraction: 0.5,
+            remap_penalty_ns: 3,
+            throttle_slowdown: 2.0,
+        };
+        let service_ns = [1, 2, 3];
+        for load in [0.3, 1.0, 2.5] {
+            let merged = run_point(&s, &p, &service_ns, load, false);
+            assert_eq!(merged, run_point(&s, &p, &service_ns, load, true));
+            let (point, _) = &merged;
+            assert!(point.failovers > 0 && point.retries > 0 && point.shed > 0);
+            let healthy = ResilienceParams::healthy();
+            assert_eq!(
+                run_point(&s, &healthy, &service_ns, load, false),
+                run_point(&s, &healthy, &service_ns, load, true)
+            );
+        }
     }
 
     #[test]

@@ -112,6 +112,43 @@ impl CalendarQueue {
     /// Removes and returns the minimum `(time, key)` event, or `None`
     /// when empty.
     pub fn pop(&mut self) -> Option<(u64, u64)> {
+        let (bucket, pos) = self.locate_min()?;
+        self.len -= 1;
+        Some(self.buckets[bucket].swap_remove(pos))
+    }
+
+    /// Returns the minimum `(time, key)` event without removing it, or
+    /// `None` when empty: exactly the event the next [`pop`] returns.
+    ///
+    /// Takes `&mut self` because it advances the scan cursor past empty
+    /// days, so a `peek` followed by `pop` scans them once. Lets a caller
+    /// merge an external, already-sorted event stream against the queue
+    /// without pushing it.
+    ///
+    /// [`pop`]: CalendarQueue::pop
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use netsim::CalendarQueue;
+    ///
+    /// let mut q = CalendarQueue::new(8);
+    /// assert_eq!(q.peek(), None);
+    /// q.push(40, 2);
+    /// q.push(40, 1);
+    /// assert_eq!(q.peek(), Some((40, 1)));
+    /// assert_eq!(q.len(), 2);
+    /// assert_eq!(q.pop(), Some((40, 1)));
+    /// assert_eq!(q.peek(), Some((40, 2)));
+    /// ```
+    pub fn peek(&mut self) -> Option<(u64, u64)> {
+        let (bucket, pos) = self.locate_min()?;
+        Some(self.buckets[bucket][pos])
+    }
+
+    /// Bucket and position of the minimum `(time, key)` event, advancing
+    /// the cursor to its day; `None` when empty.
+    fn locate_min(&mut self) -> Option<(usize, usize)> {
         if self.len == 0 {
             return None;
         }
@@ -121,16 +158,14 @@ impl CalendarQueue {
             let day_end = (self.cursor_day + 1).saturating_mul(self.width);
             let bucket = (self.cursor_day % n) as usize;
             if let Some(pos) = Self::min_before(&self.buckets[bucket], day_end) {
-                self.len -= 1;
-                return Some(self.buckets[bucket].swap_remove(pos));
+                return Some((bucket, pos));
             }
             self.cursor_day += 1;
         }
         // A whole year is empty: jump the cursor to the earliest event.
         let (bucket, pos) = self.global_min();
         self.cursor_day = self.buckets[bucket][pos].0 / self.width;
-        self.len -= 1;
-        Some(self.buckets[bucket].swap_remove(pos))
+        Some((bucket, pos))
     }
 
     /// Index of the minimum `(time, key)` event with `time < day_end`
@@ -259,6 +294,26 @@ mod tests {
             .map(|i: u64| ((i * 2_654_435_761) % 4096, i % 7))
             .collect();
         assert_eq!(calendar_order(8, &events), heap_order(&events));
+    }
+
+    #[test]
+    fn peek_names_the_next_pop_without_removing_it() {
+        let mut q = CalendarQueue::new(4);
+        assert_eq!(q.peek(), None);
+        // Sparse times force the year jump inside `peek`.
+        for (t, k) in [(9_000, 3), (12, 7), (9_000, 1), (500_000, 0)] {
+            q.push(t, k);
+        }
+        assert_eq!(q.peek(), Some((12, 7)));
+        assert_eq!(q.pop(), Some((12, 7)));
+        assert_eq!(
+            (q.peek(), q.peek(), q.len()),
+            (Some((9_000, 1)), Some((9_000, 1)), 3)
+        );
+        // A push into the past after a peek still surfaces first.
+        q.push(50, 5);
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(rest, [(50, 5), (9_000, 1), (9_000, 3), (500_000, 0)]);
     }
 
     #[test]

@@ -78,6 +78,43 @@ proptest! {
         prop_assert!(cal.is_empty());
     }
 
+    /// Random interleavings of push, peek and pop agree with a binary
+    /// min-heap step by step: `peek` always names the next `pop`, never
+    /// removes it, and pushes into the past after a peek still surface
+    /// first.
+    #[test]
+    fn calendar_queue_peek_and_pop_interleave_like_binary_heap(
+        ops in proptest::collection::vec(0u64..u64::MAX, 0..400),
+        width in 1u64..64,
+    ) {
+        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>> =
+            std::collections::BinaryHeap::new();
+        let mut cal = CalendarQueue::new(width);
+        for &op in &ops {
+            match op % 4 {
+                // Pushes dominate so the queue grows through several
+                // doublings; times cluster so ties are common.
+                0 | 1 => {
+                    let ev = ((op >> 12) % 4096, (op >> 2) & 0x3FF);
+                    heap.push(std::cmp::Reverse(ev));
+                    cal.push(ev.0, ev.1);
+                }
+                2 => {
+                    let expect = heap.peek().map(|r| r.0);
+                    prop_assert_eq!(cal.peek(), expect);
+                    prop_assert_eq!(cal.len(), heap.len());
+                }
+                _ => prop_assert_eq!(cal.pop(), heap.pop().map(|r| r.0)),
+            }
+        }
+        while let Some(std::cmp::Reverse(expect)) = heap.pop() {
+            prop_assert_eq!(cal.peek(), Some(expect));
+            prop_assert_eq!(cal.pop(), Some(expect));
+        }
+        prop_assert_eq!(cal.peek(), None);
+        prop_assert!(cal.is_empty());
+    }
+
     #[test]
     fn energy_is_additive_over_flows(seed in 0u64..200) {
         let topo = mesh2d(5, 5).unwrap();
