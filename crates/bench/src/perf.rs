@@ -102,8 +102,8 @@ pub struct DesMicro {
 }
 
 /// Serving-simulator micro-benchmark: a saturated multi-tenant stream
-/// over a chip fleet, long enough that the calendar-queue event loop
-/// processes upwards of a million events.
+/// over a chip fleet, long enough that the fleet event loop processes
+/// upwards of a million events.
 #[derive(Clone, Debug, Serialize)]
 pub struct ServingMicro {
     /// Chips in the fleet.
@@ -112,7 +112,7 @@ pub struct ServingMicro {
     pub horizon_ms: f64,
     /// Requests generated over the horizon.
     pub requests: u64,
-    /// Calendar-queue events processed across the fleet.
+    /// Events processed by the fleet event loop.
     pub events: u64,
     /// Wall time of the whole sweep, milliseconds.
     pub simulate_ms: f64,
@@ -132,8 +132,8 @@ pub struct FaultEventsMicro {
     pub horizon_ms: f64,
     /// Requests generated over the horizon.
     pub requests: u64,
-    /// Calendar-queue events processed (arrivals, completions, windows,
-    /// chip down/up edges, retry timers).
+    /// Events processed by the fleet event loop (arrivals, completions,
+    /// windows, chip down/up edges, retry timers).
     pub events: u64,
     /// Chip down/up edges in the generated plan.
     pub chip_faults: usize,
@@ -198,7 +198,7 @@ pub struct PerfReport {
     pub solver: SolverMicro,
     /// DES scheduler micro-counters.
     pub des: DesMicro,
-    /// Serving event-loop micro-benchmark (calendar-queue throughput).
+    /// Serving event-loop micro-benchmark (event throughput).
     pub serving: ServingMicro,
     /// Fault-aware serving micro-benchmark (retry/failover event load).
     pub fault_events: FaultEventsMicro,
@@ -350,8 +350,8 @@ const SERVING_SERVICE_NS: [u64; 3] = [2_418_720, 544_080, 2_017_360];
 
 fn serving_micro(horizon_ms: f64, threads: usize) -> ServingMicro {
     // A deliberately saturated fleet: rates 20× the golden default so a
-    // multi-second horizon pushes the calendar queue through ≥ 1M
-    // events (arrivals + batch completions + window closes).
+    // multi-second horizon pushes the event loop through ≥ 1M events
+    // (arrivals + batch completions + window closes).
     let mut spec = ServingSpec {
         fleet: 4,
         horizon_ms,

@@ -12,13 +12,13 @@
 //! it on a healthy fleet and reports per-chip utilization;
 //! [`simulate_resilient_serving`] runs it under a [`FaultPlan`] and
 //! reports retries, failovers, timeouts and shedding. Within a load
-//! point every chip shares one bucketed [`netsim::CalendarQueue`]
-//! (shared with the packet DES) that holds only in-flight events:
-//! completions, batching windows, retries and chip edges. The arrival
-//! stream is already sorted, so the loop walks it with a cursor and
-//! merges it against [`netsim::CalendarQueue::peek`] instead of
-//! pushing every request into the calendar. One calendar per worker
-//! thread is reused across load points.
+//! point every chip shares one [`netsim::EventQueue`] (the packet DES's
+//! binary min-heap) that holds only in-flight events: completions,
+//! batching windows, retries and chip edges. The arrival stream is
+//! already sorted, so the loop walks it with a cursor and merges it
+//! against [`netsim::EventQueue::peek`] instead of pushing every
+//! request into the queue, which keeps the heap shallow and its memory
+//! small. One queue per worker thread is reused across load points.
 //!
 //! # Determinism contract
 //!
@@ -29,7 +29,7 @@
 //! load point events leave in one total `(time, key)` order — at one
 //! instant by tag (completion, chip up, window, arrival, retry, chip
 //! down), then chip, then request index — whether they come from the
-//! calendar or from the arrival cursor. Changing `threads` can only
+//! queue or from the arrival cursor. Changing `threads` can only
 //! change wall-clock time.
 
 use std::cell::RefCell;
@@ -37,7 +37,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use mapper::{sample_arrivals, ArrivalConfig, ArrivalProcess};
-use netsim::CalendarQueue;
+use netsim::EventQueue;
 use serde::{Deserialize, Serialize};
 
 use crate::faults::{FaultPlan, FaultSpec, RetryPolicy};
@@ -276,7 +276,7 @@ pub struct LoadPointOutcome {
     pub chip_util: Vec<Vec<f64>>,
     /// Every completed request's latency, ns, ascending.
     pub latencies_ns: Vec<u64>,
-    /// Calendar-queue events processed across the fleet.
+    /// Events processed by the event loop across the fleet.
     pub events: u64,
 }
 
@@ -286,7 +286,7 @@ pub struct LoadPointOutcome {
 pub struct ServingOutcome {
     /// Per-load-point statistics, in `spec.loads` order.
     pub per_load: Vec<LoadPointOutcome>,
-    /// Total calendar-queue events processed.
+    /// Total events processed by the event loop.
     pub events: u64,
     /// Total requests generated.
     pub requests: u64,
@@ -490,7 +490,7 @@ pub struct ResiliencePointOutcome {
     pub mean_batch: f64,
     /// Every completed request's latency, ns, ascending.
     pub latencies_ns: Vec<u64>,
-    /// Calendar-queue events processed (including fault events).
+    /// Events processed by the event loop (including fault events).
     pub events: u64,
 }
 
@@ -499,7 +499,7 @@ pub struct ResiliencePointOutcome {
 pub struct ResilienceOutcome {
     /// Per-load-point statistics, in `spec.loads` order.
     pub per_load: Vec<ResiliencePointOutcome>,
-    /// Total calendar-queue events processed.
+    /// Total events processed by the event loop.
     pub events: u64,
     /// Total requests generated.
     pub requests: u64,
@@ -551,13 +551,13 @@ struct ChipState {
 // pim-lint: scratch
 #[derive(Debug)]
 struct FaultScratch {
-    /// Fleet-wide calendar of in-flight events: completions, windows,
+    /// Fleet-wide queue of in-flight events: completions, windows,
     /// retries and chip edges. Arrivals never enter it.
-    events: CalendarQueue,
+    events: EventQueue,
     /// Retry attempts per request, indexed by global request id.
     attempts: Vec<u32>,
     /// Arrival keys of the current same-instant group, descending, so
-    /// `pop` yields them in calendar order.
+    /// `pop` yields them in queue order.
     ties: Vec<u64>,
     /// Requests drained off a failing chip: its lost batch, then its
     /// orphaned queue.
@@ -567,7 +567,7 @@ struct FaultScratch {
 impl FaultScratch {
     fn new() -> FaultScratch {
         FaultScratch {
-            events: CalendarQueue::new(1024),
+            events: EventQueue::new(),
             attempts: Vec::new(),
             ties: Vec::new(),
             drained: Vec::new(),
@@ -589,7 +589,7 @@ thread_local! {
     static FAULT_SCRATCH: RefCell<FaultScratch> = RefCell::new(FaultScratch::new());
 }
 
-/// One load point's fleet simulation: every chip shares one calendar so
+/// One load point's fleet simulation: every chip shares one queue so
 /// chip failures, repairs, retries and failovers interleave in a single
 /// deterministic order.
 struct FleetSim<'a> {
@@ -622,7 +622,7 @@ struct FleetSim<'a> {
 
 impl<'a> FleetSim<'a> {
     /// A fresh load point over `requests`: every chip up and idle, the
-    /// plan's chip edges in the (reset) calendar, arrivals still ahead
+    /// plan's chip edges in the (reset) queue, arrivals still ahead
     /// of the cursor.
     fn new(
         spec: &'a ServingSpec,
@@ -861,7 +861,7 @@ impl<'a> FleetSim<'a> {
 
     /// The next arrival event `(time, fleet_key)` without consuming it.
     /// Requests arriving at one instant are staged in `scratch.ties` so
-    /// they leave in key order (chip, then index), as the calendar would
+    /// they leave in key order (chip, then index), as the queue would
     /// order them; consuming one is `scratch.ties.pop()`.
     fn peek_arrival(&mut self) -> Option<(u64, u64)> {
         if self.scratch.ties.is_empty() {
@@ -884,7 +884,7 @@ impl<'a> FleetSim<'a> {
     }
 
     /// Runs the load point to completion, merging the sorted arrival
-    /// stream against the calendar in exact `(time, key)` order.
+    /// stream against the event queue in exact `(time, key)` order.
     fn run(&mut self) {
         loop {
             let next = match self.peek_arrival() {
@@ -1049,7 +1049,7 @@ fn simulate_points(
 }
 
 /// Runs the serving sweep under a fault plan: for every offered-load
-/// point the whole fleet shares one calendar, so chip failures and
+/// point the whole fleet shares one event queue, so chip failures and
 /// repairs, bounded-backoff retries, failovers, degraded-mode shedding
 /// and re-mapping stalls replay in one deterministic order.
 ///
@@ -1336,20 +1336,20 @@ mod tests {
         }
     }
 
-    /// One load point through the fleet loop; with `in_calendar`, every
-    /// arrival is pushed into the calendar up front and the cursor starts
-    /// exhausted, so the calendar alone orders them.
+    /// One load point through the fleet loop; with `in_queue`, every
+    /// arrival is pushed into the event queue up front and the cursor
+    /// starts exhausted, so the queue alone orders them.
     fn run_point(
         spec: &ServingSpec,
         params: &ResilienceParams,
         service_ns: &[u64],
         load: f64,
-        in_calendar: bool,
+        in_queue: bool,
     ) -> PointRun {
         let requests = generate_stream(spec, load, 13);
         let mut scratch = FaultScratch::new();
         let mut sim = FleetSim::new(spec, params, service_ns, &requests, &mut scratch);
-        if in_calendar {
+        if in_queue {
             for (i, r) in requests.iter().enumerate() {
                 sim.scratch.events.push(
                     r.arrival_ns,
@@ -1363,7 +1363,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_arrivals_replay_the_all_in_calendar_order_under_faults() {
+    fn merged_arrivals_replay_the_all_in_queue_order_under_faults() {
         // Nanosecond services, windows and backoffs make arrivals (four
         // at one instant from the bursty tenant), completions, windows,
         // retries and chip edges collide at one instant, while outages

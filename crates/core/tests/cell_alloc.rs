@@ -5,11 +5,11 @@
 //!
 //! The DES inner loop itself is pinned at literally zero steady-state
 //! allocations in `netsim/tests/path_alloc.rs`; at the cell level the
-//! mapping layer still allocates per call (`BTreeMap` transfer merging,
-//! analytical-model link tables, report strings), so here we pin the
-//! two properties scratch reuse actually guarantees: warm re-runs reach
-//! a deterministic steady state (no creeping growth), and that steady
-//! state stays well below a fresh-scratch evaluation of the same cell.
+//! analytical model still allocates its link tables per call and the
+//! report its strings, so here we pin the two properties scratch reuse
+//! actually guarantees: warm re-runs reach a deterministic steady state
+//! (no creeping growth), and that steady state stays well below a
+//! fresh-scratch evaluation of the same cell.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,8 +64,8 @@ fn warm_fig3_cell_rerun_reaches_a_bounded_alloc_steady_state() {
     let fresh_rep = cost(&mut fresh_scratch);
     let fresh = alloc_count() - before;
 
-    // Warm re-runs on the now-hot scratch. Two passes to settle bucket
-    // capacities (see path_alloc.rs), then two measured passes.
+    // Warm re-runs on the now-hot scratch. Two warm-up passes (see
+    // path_alloc.rs), then two measured passes.
     cost(&mut fresh_scratch);
     cost(&mut fresh_scratch);
     let before = alloc_count();

@@ -1,5 +1,5 @@
 //! Allocator-traffic pin for the serving event loop. Once the
-//! per-thread calendar is warm, the loop launches, completes, retries
+//! per-thread event queue is warm, the loop launches, completes, retries
 //! and fails over batches without touching the allocator: what a sweep
 //! still allocates (stream generation, the latency vector, per-chip
 //! state) grows with the log of the request count, not with the number
@@ -75,7 +75,7 @@ fn count<T>(run: impl FnOnce() -> T) -> (u64, T) {
 fn healthy_serving_allocations_do_not_grow_with_the_horizon() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let h = 100.0;
-    // Warm the thread's calendar at the longer horizon.
+    // Warm the thread's event queue at the longer horizon.
     simulate_serving(&spec(2.0 * h), &SERVICE_NS, 7, 1);
     let (short, one) = count(|| simulate_serving(&spec(h), &SERVICE_NS, 7, 1));
     let (long, two) = count(|| simulate_serving(&spec(2.0 * h), &SERVICE_NS, 7, 1));

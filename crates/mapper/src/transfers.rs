@@ -10,8 +10,6 @@
 //! are façades that apply the mode's uniform preset policy;
 //! [`placement_transfers`] is the weight-stationary (seed) baseline.
 
-use std::collections::BTreeMap;
-
 use dnn::{Dataflow, ModelMapping, NoiPolicy, SegmentEdge, SegmentGraph};
 use serde::{Deserialize, Serialize};
 use topology::NodeId;
@@ -122,8 +120,8 @@ struct Expansion<'a> {
 }
 
 impl Expansion<'_> {
-    /// Accumulates one edge's cross-chiplet traffic into the
-    /// `(src, dst) -> bytes` map, for the expansion's batch of frames.
+    /// Appends one edge's cross-chiplet traffic to `out` as unmerged
+    /// `(src, dst, bytes)` records, for the expansion's batch of frames.
     /// `fusible` states whether a fused-layer pipeline may elide this
     /// edge.
     ///
@@ -136,12 +134,7 @@ impl Expansion<'_> {
     /// batch*; without it (IS) the tile re-stages every frame — which is
     /// exactly why re-stationing decisions are made on batch totals, not
     /// per frame.
-    fn accumulate_edge(
-        &self,
-        acc: &mut BTreeMap<(NodeId, NodeId), u64>,
-        e: &SegmentEdge,
-        fusible: bool,
-    ) {
+    fn accumulate_edge(&self, out: &mut Vec<Transfer>, e: &SegmentEdge, fusible: bool) {
         let Expansion {
             tp,
             sg,
@@ -159,9 +152,14 @@ impl Expansion<'_> {
         let weight_bytes = (dst_seg.params * bytes_per_element) as f64;
         let out_bytes = (dst_seg.out_activations * bytes_per_element) as f64;
         let policy = policies.for_dst(e.dst.index());
-        let mut add = |from: NodeId, to: NodeId, bytes: u64| {
+        let mut add = |src: NodeId, dst: NodeId, bytes: u64| {
             if bytes > 0 {
-                *acc.entry((from, to)).or_insert(0) += bytes;
+                out.push(Transfer {
+                    src,
+                    dst,
+                    bytes,
+                    task: tp.task,
+                });
             }
         };
         for_each_aligned_pair(src_place, dst_place, |sn, dn, overlap| {
@@ -243,8 +241,8 @@ pub fn transfers_for(
 /// Same-chiplet transfers cost nothing on the NoI and are dropped, as are
 /// edges from the parameter-free input segment (input frames stream from
 /// off-chip I/O, not across the NoI). Same `(src, dst)` pairs are merged
-/// through a [`BTreeMap`], so the emitted order is sorted by
-/// `(src, dst)` and independent of the edge iteration order.
+/// into one transfer, so the emitted order is sorted by `(src, dst)` and
+/// independent of the edge iteration order.
 pub fn transfers_for_batch(
     tp: &TaskPlacement,
     sg: &SegmentGraph,
@@ -347,9 +345,9 @@ pub fn transfers_for_batch_mapped_into(
 }
 
 /// The shared expansion loop behind the enum and mapping entry points,
-/// writing into a caller-owned buffer (cleared first). The `(src, dst)`
-/// merge map still accumulates per call; only the emitted transfer list
-/// reuses capacity.
+/// writing into a caller-owned buffer (cleared first). Raw records are
+/// appended, then sorted by `(src, dst)` and merged in place, so a warm
+/// buffer expands without allocating.
 fn expand_into(
     tp: &TaskPlacement,
     sg: &SegmentGraph,
@@ -370,18 +368,26 @@ fn expand_into(
         policies,
         batch,
     };
-    let mut acc: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
+    out.clear();
     for (ei, e) in sg.edges().iter().enumerate() {
         let f = fusible.get(ei).copied().unwrap_or(false);
-        exp.accumulate_edge(&mut acc, e, f);
+        exp.accumulate_edge(out, e, f);
     }
-    out.clear();
-    out.extend(acc.into_iter().map(|((src, dst), bytes)| Transfer {
-        src,
-        dst,
-        bytes,
-        task: tp.task,
-    }));
+    merge_pairs(out);
+}
+
+/// Merges the records of each `(src, dst)` pair into one transfer
+/// carrying their summed bytes, leaving the list sorted by pair, so the
+/// result is independent of the order the records were appended in.
+fn merge_pairs(out: &mut Vec<Transfer>) {
+    out.sort_unstable_by_key(|t| (t.src, t.dst));
+    out.dedup_by(|later, kept| {
+        let same = (later.src, later.dst) == (kept.src, kept.dst);
+        if same {
+            kept.bytes += later.bytes;
+        }
+        same
+    });
 }
 
 /// Expands a task placement under the weight-stationary (seed) scheme:
@@ -511,8 +517,8 @@ mod tests {
     fn emitted_order_is_independent_of_edge_iteration_order() {
         // Regression for the deterministic-merge contract: accumulating
         // the edges forward and reversed must produce the same transfer
-        // list, because same (src, dst, task) pairs merge through the
-        // BTreeMap and the output is its sorted iteration.
+        // list, because same (src, dst) pairs merge into one transfer
+        // and the output is sorted by pair.
         let (tp, sg) = mapped_resnet18(1_000_000);
         for df in Dataflow::all() {
             let fusible = sg.fusible_edges();
@@ -523,16 +529,15 @@ mod tests {
                 policies: Policies::Uniform(df.noi_policy()),
                 batch: 3,
             };
-            let mut fwd: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
-            let mut rev: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
+            let (mut fwd, mut rev) = (Vec::new(), Vec::new());
             for (ei, e) in sg.edges().iter().enumerate() {
                 exp.accumulate_edge(&mut fwd, e, fusible[ei]);
             }
             for (ei, e) in sg.edges().iter().enumerate().rev() {
                 exp.accumulate_edge(&mut rev, e, fusible[ei]);
             }
-            let fwd: Vec<_> = fwd.into_iter().collect();
-            let rev: Vec<_> = rev.into_iter().collect();
+            merge_pairs(&mut fwd);
+            merge_pairs(&mut rev);
             assert_eq!(fwd, rev, "{df}");
         }
         // And the public API emits strictly sorted (src, dst) pairs.

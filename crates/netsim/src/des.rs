@@ -12,12 +12,11 @@
 //! busy channel is parked once in that channel's FIFO queue and woken by
 //! a single channel-release event — there is no retry polling, so every
 //! packet costs one scheduler event per hop (plus its delivery event) and
-//! one wake per contended acquisition. Events are dispatched by a
-//! bucketed [`CalendarQueue`] (`O(E)` expected instead of the old
-//! `O(E log E)` heap) that preserves the heap's exact deterministic
-//! `(time, key)` dequeue order. Service order on a contended channel is
-//! strictly by header arrival time, and the simulation is fully
-//! deterministic.
+//! one wake per contended acquisition. Events are dispatched by an
+//! [`EventQueue`], a binary min-heap in exact `(time, key)` order, whose
+//! secondary key breaks same-cycle ties deterministically. Service order
+//! on a contended channel is strictly by header arrival time, and the
+//! simulation is fully deterministic.
 //!
 //! All simulator state is arena-backed SoA held in a reusable
 //! [`SimScratch`]: packet hop records live in flat vectors sliced by a
@@ -25,14 +24,13 @@
 //! free-list chained by index — no per-packet heap allocation, and a warm
 //! scratch runs the whole simulation without allocating at all. The
 //! time-0 injection burst (every packet enters at cycle 0) is dispatched
-//! directly in `(time, key)` order instead of through the calendar, whose
-//! single-bucket min-scan would otherwise make the initial drain
-//! quadratic in the packet count.
+//! directly in `(time, key)` order instead of through the queue, which
+//! skips one push/pop pair per packet.
 
 use serde::{Deserialize, Serialize};
 use topology::{HwParams, LinkId, NodeId, Topology};
 
-use crate::calendar::CalendarQueue;
+use crate::event_queue::EventQueue;
 use crate::flow::Flow;
 use crate::routing::RouteTable;
 
@@ -161,7 +159,7 @@ impl EventKind {
     /// one `u64` whose integer order equals the tuple order: releases
     /// drain before new arrivals at the same cycle (a header landing
     /// exactly when a contended channel frees queues behind the earlier
-    /// waiters). This is the event key fed to the [`CalendarQueue`].
+    /// waiters). This is the event key fed to the [`EventQueue`].
     fn order_key(&self) -> u64 {
         match *self {
             EventKind::Free { ch } => (ch as u64) << 16,
@@ -255,7 +253,7 @@ struct LoopStats {
 }
 
 /// Reusable simulator state: the packet arena, the scheduler (busy
-/// times, wait queues, calendar), and the report buffers. Construct one
+/// times, wait queues, event queue), and the report buffers. Construct one
 /// per worker and pass it to [`simulate_with_scratch`] run after run —
 /// every buffer is cleared with capacity kept, so a warm scratch makes
 /// the whole simulation allocation-free.
@@ -266,7 +264,7 @@ pub struct SimScratch {
     wait_tail: Vec<u32>,
     wait_nodes: Vec<WaitNode>,
     free_node: u32,
-    queue: CalendarQueue,
+    queue: EventQueue,
     stats: LoopStats,
     latencies: Vec<u64>,
     path: Vec<LinkId>,
@@ -294,7 +292,7 @@ impl SimScratch {
             wait_tail: Vec::new(),
             wait_nodes: Vec::new(),
             free_node: NIL,
-            queue: CalendarQueue::new(8),
+            queue: EventQueue::new(),
             stats: LoopStats::default(),
             latencies: Vec::new(),
             path: Vec::new(),
@@ -511,7 +509,7 @@ fn build_packets_into(
     (energy_pj, flit_hops)
 }
 
-/// The wait-queue event loop. Each packet enters the calendar once per
+/// The wait-queue event loop. Each packet enters the queue once per
 /// hop; a header that finds its channel busy parks in the channel's FIFO
 /// and is woken by a single [`EventKind::Free`] event, so contended
 /// channels serve strictly in header-arrival order.
@@ -520,14 +518,12 @@ fn run_event_loop(st: &mut SimScratch, n_channels: usize, faults: &LinkFaults) {
     let n = st.arena.len();
     let mut delivered = 0usize;
 
-    // Time-0 burst fast path. Every packet is injected at cycle 0, so
-    // routing the burst through the calendar lands all n Header events
-    // in one bucket and the initial drain's min-scan goes quadratic in
-    // n. When every first-hop delay is >= 1 (serialization always is),
-    // every event generated while draining the burst lands strictly
-    // after cycle 0, so dispatching seqs in ascending order IS the
-    // queue's (time, key) dequeue order for the burst — bypass the
-    // calendar, with identical heap_events accounting.
+    // Time-0 burst fast path. Every packet is injected at cycle 0. When
+    // every first-hop delay is >= 1 (serialization always is), every
+    // event generated while draining the burst lands strictly after
+    // cycle 0, so dispatching seqs in ascending order IS the queue's
+    // (time, key) dequeue order for the burst: skip the n push/pop
+    // pairs, with identical heap_events accounting.
     let burst_direct = (0..n).all(|s| st.arena.hop_delay[st.arena.start(s)] > 0);
     if burst_direct {
         for seq in 0..n {

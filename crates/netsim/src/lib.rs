@@ -9,7 +9,9 @@
 //!   cut-through switching, FIFO channel contention and deterministic
 //!   event ordering;
 //! * [`RouteTable`] — latency-aware deterministic shortest-path routing
-//!   shared by both.
+//!   shared by both;
+//! * [`EventQueue`] — the `(time, key)` min-heap scheduler of the DES,
+//!   also driving the serving simulator in `pim_core`.
 //!
 //! # Examples
 //!
@@ -31,18 +33,18 @@
 #![warn(missing_debug_implementations)]
 
 mod analytical;
-mod calendar;
 mod des;
+mod event_queue;
 mod flow;
 mod patterns;
 mod routing;
 
 pub use analytical::{analyze, analyze_with_table, AnalyticalReport};
-pub use calendar::CalendarQueue;
 pub use des::{
     simulate, simulate_faulty_with_scratch, simulate_with_scratch, simulate_with_table, LinkFaults,
     SimConfig, SimReport, SimScratch,
 };
+pub use event_queue::EventQueue;
 pub use flow::{sample_flows, sample_flows_into, total_bytes, Flow};
 pub use patterns::{all_patterns, generate_pattern, generate_pipeline, TrafficPattern};
 pub use routing::RouteTable;

@@ -3,9 +3,11 @@
 //! `reference_simulate` below is a test-only retelling of the simulator
 //! as it stood **before** the arena/SoA rewrite: each packet owns boxed
 //! `Vec`s (AoS), channel wait queues are `VecDeque`s, and every event —
-//! including the whole time-0 injection burst — goes through the
-//! calendar. It is built purely from `netsim`'s public API and computes
-//! the full [`SimReport`]. The production engine replaces all of that
+//! including the whole time-0 injection burst — goes through a
+//! `std::collections::BinaryHeap` of its own, so the reference shares no
+//! scheduler code with the engine's [`netsim::EventQueue`]. It is built
+//! purely from `netsim`'s public API and computes the full
+//! [`SimReport`]. The production engine replaces all of that
 //! with flat arenas, an index-linked wait-node pool, and a direct burst
 //! dispatch, and must stay *observationally identical*: every field of
 //! the report, including float sums (same accumulation order),
@@ -13,11 +15,11 @@
 //! topology, flow set, and packet size — with a fresh scratch or one
 //! dirtied by arbitrary earlier runs.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use netsim::{
-    simulate_with_scratch, simulate_with_table, CalendarQueue, Flow, RouteTable, SimConfig,
-    SimReport, SimScratch,
+    simulate_with_scratch, simulate_with_table, Flow, RouteTable, SimConfig, SimReport, SimScratch,
 };
 use proptest::prelude::*;
 use topology::{floret, kite, mesh2d, HwParams, NodeId, Topology};
@@ -50,7 +52,7 @@ fn percentile_nearest_rank(sorted: &[u64], pct: u64) -> u64 {
 
 /// The pre-arena wait-queue simulator, end to end: AoS packet build
 /// (same flow/hop iteration order, so float energy sums agree exactly),
-/// a calendar-driven loop with `VecDeque` wait queues, and the same
+/// a min-heap-driven loop with `VecDeque` wait queues, and the same
 /// report arithmetic.
 fn reference_simulate(
     topo: &Topology,
@@ -104,10 +106,10 @@ fn reference_simulate(
         }
     }
 
-    // --- Wait-queue event loop, everything through the calendar -------
+    // --- Wait-queue event loop, everything through the heap -----------
     let mut busy_until = vec![0u64; n_channels];
     let mut waiters: Vec<VecDeque<(u32, u16, u64)>> = vec![VecDeque::new(); n_channels];
-    let mut queue = CalendarQueue::new(8);
+    let mut queue: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut hop_traversals = 0u64;
     let mut hop_latency_total = 0u64;
     let mut hop_latency_max = 0u64;
@@ -115,7 +117,7 @@ fn reference_simulate(
     let mut heap_events = 0u64;
 
     for seq in 0..packets.len() {
-        queue.push(0, header_key(seq as u32, 0));
+        queue.push(Reverse((0, header_key(seq as u32, 0))));
     }
 
     // Grants `seq` its `hop`-th channel at `now` and schedules the next
@@ -131,11 +133,11 @@ fn reference_simulate(
             hop_latency_total += hop_latency;
             hop_latency_max = hop_latency_max.max(hop_latency);
             wait_total += $now - $arrived;
-            queue.push(header_arrives, header_key($seq, $hop + 1));
+            queue.push(Reverse((header_arrives, header_key($seq, $hop + 1))));
         }};
     }
 
-    while let Some((time, key)) = queue.pop() {
+    while let Some(Reverse((time, key))) = queue.pop() {
         heap_events += 1;
         if key >> 48 == 0 {
             // Free: serve the channel's front waiter, re-arm if more.
@@ -145,7 +147,7 @@ fn reference_simulate(
                 .expect("Free armed only while waiters are parked");
             acquire!(seq, hop, time, arrived);
             if !waiters[ch].is_empty() {
-                queue.push(busy_until[ch], free_key(ch as u32));
+                queue.push(Reverse((busy_until[ch], free_key(ch as u32))));
             }
         } else {
             let seq = ((key >> 16) & 0xFFFF_FFFF) as u32;
@@ -160,7 +162,7 @@ fn reference_simulate(
                 acquire!(seq, hop, time, time);
             } else {
                 if waiters[ch].is_empty() {
-                    queue.push(busy_until[ch], free_key(ch as u32));
+                    queue.push(Reverse((busy_until[ch], free_key(ch as u32))));
                 }
                 waiters[ch].push_back((seq, hop, time));
             }
@@ -261,7 +263,7 @@ proptest! {
     }
 
     /// A degenerate hardware config (`router_pipeline_cycles == 0`)
-    /// defeats the engine's time-0 burst fast path; the calendar
+    /// defeats the engine's time-0 burst fast path; the queue
     /// fallback must still match the reference exactly.
     #[test]
     fn burst_fallback_matches_reference(

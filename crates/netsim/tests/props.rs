@@ -1,7 +1,7 @@
 //! Property-based tests of routing and simulation invariants across
 //! random topologies and traffic.
 
-use netsim::{analyze, simulate, CalendarQueue, Flow, RouteTable, SimConfig};
+use netsim::{analyze, simulate, EventQueue, Flow, RouteTable, SimConfig};
 use proptest::prelude::*;
 use topology::{floret, kite, mesh2d, HwParams, NodeId};
 
@@ -10,6 +10,39 @@ fn arb_topology(idx: usize) -> topology::Topology {
         0 => mesh2d(6, 6).unwrap(),
         1 => kite(6, 6).unwrap(),
         _ => floret(6, 6, 4).unwrap().0,
+    }
+}
+
+/// Naive event-queue oracle: an unsorted `Vec` whose `pop` scans for
+/// the minimum `(time, key)` pair. Shares no code with the heap.
+#[derive(Default)]
+struct MinScanOracle(Vec<(u64, u64)>);
+
+impl MinScanOracle {
+    fn push(&mut self, time: u64, key: u64) {
+        self.0.push((time, key));
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn min_index(&self) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (i, ev) in self.0.iter().enumerate() {
+            if best.is_none_or(|b| *ev < self.0[b]) {
+                best = Some(i);
+            }
+        }
+        best
+    }
+
+    fn peek(&self) -> Option<(u64, u64)> {
+        self.min_index().map(|i| self.0[i])
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64)> {
+        self.min_index().map(|i| self.0.swap_remove(i))
     }
 }
 
@@ -50,13 +83,12 @@ proptest! {
         prop_assert!(des.flit_hops == ana.flit_hops);
     }
 
-    /// The calendar queue must dequeue random event sets in exactly the
-    /// order a binary min-heap over `(time, key)` would — the event-loop
-    /// swap is only sound if the two disciplines agree on every tie.
+    /// The event queue must dequeue random event sets in exactly
+    /// ascending `(time, key)` order, checked against the naive oracle;
+    /// times cluster so duplicates and ties are common.
     #[test]
-    fn calendar_queue_matches_binary_heap_order(
+    fn event_queue_matches_min_scan_oracle_order(
         raw in proptest::collection::vec(0u64..u64::MAX, 0..400),
-        width in 1u64..64,
     ) {
         // Derive (time, key) pairs from one random word each: times
         // cluster (mod 4096) so duplicates and ties are common.
@@ -65,54 +97,64 @@ proptest! {
             .map(|r| ((r >> 12) % 4096, r & 0xFFF))
             .collect();
 
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>> =
-            events.iter().map(|&e| std::cmp::Reverse(e)).collect();
-        let mut cal = CalendarQueue::new(width);
+        let mut oracle = MinScanOracle::default();
+        let mut q = EventQueue::new();
         for &(t, k) in &events {
-            cal.push(t, k);
+            oracle.push(t, k);
+            q.push(t, k);
         }
-        while let Some(std::cmp::Reverse(expect)) = heap.pop() {
-            prop_assert_eq!(cal.pop(), Some(expect));
+        while let Some(expect) = oracle.pop() {
+            prop_assert_eq!(q.pop(), Some(expect));
         }
-        prop_assert_eq!(cal.pop(), None);
-        prop_assert!(cal.is_empty());
+        prop_assert_eq!(q.pop(), None);
+        prop_assert!(q.is_empty());
     }
 
-    /// Random interleavings of push, peek and pop agree with a binary
-    /// min-heap step by step: `peek` always names the next `pop`, never
-    /// removes it, and pushes into the past after a peek still surface
+    /// Random interleavings of push, peek and pop agree with the naive
+    /// oracle step by step: `peek` always names the next `pop`, never
+    /// removes it, and pushes behind the last popped time still surface
     /// first.
     #[test]
-    fn calendar_queue_peek_and_pop_interleave_like_binary_heap(
+    fn event_queue_peek_and_pop_interleave_like_min_scan_oracle(
         ops in proptest::collection::vec(0u64..u64::MAX, 0..400),
-        width in 1u64..64,
     ) {
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>> =
-            std::collections::BinaryHeap::new();
-        let mut cal = CalendarQueue::new(width);
+        let mut oracle = MinScanOracle::default();
+        let mut q = EventQueue::new();
+        let mut last_popped = 0u64;
         for &op in &ops {
-            match op % 4 {
-                // Pushes dominate so the queue grows through several
-                // doublings; times cluster so ties are common.
+            match op % 5 {
+                // Pushes dominate so the queue grows; times cluster so
+                // ties are common.
                 0 | 1 => {
-                    let ev = ((op >> 12) % 4096, (op >> 2) & 0x3FF);
-                    heap.push(std::cmp::Reverse(ev));
-                    cal.push(ev.0, ev.1);
+                    let ev = ((op >> 12) % 4096, (op >> 3) & 0x3FF);
+                    oracle.push(ev.0, ev.1);
+                    q.push(ev.0, ev.1);
                 }
+                // A push behind the last pop: at or before its time.
                 2 => {
-                    let expect = heap.peek().map(|r| r.0);
-                    prop_assert_eq!(cal.peek(), expect);
-                    prop_assert_eq!(cal.len(), heap.len());
+                    let ev = (last_popped - (op >> 12) % (last_popped + 1), (op >> 3) & 0x3FF);
+                    oracle.push(ev.0, ev.1);
+                    q.push(ev.0, ev.1);
                 }
-                _ => prop_assert_eq!(cal.pop(), heap.pop().map(|r| r.0)),
+                3 => {
+                    prop_assert_eq!(q.peek(), oracle.peek());
+                    prop_assert_eq!(q.len(), oracle.len());
+                }
+                _ => {
+                    let expect = oracle.pop();
+                    prop_assert_eq!(q.pop(), expect);
+                    if let Some((t, _)) = expect {
+                        last_popped = t;
+                    }
+                }
             }
         }
-        while let Some(std::cmp::Reverse(expect)) = heap.pop() {
-            prop_assert_eq!(cal.peek(), Some(expect));
-            prop_assert_eq!(cal.pop(), Some(expect));
+        while let Some(expect) = oracle.pop() {
+            prop_assert_eq!(q.peek(), Some(expect));
+            prop_assert_eq!(q.pop(), Some(expect));
         }
-        prop_assert_eq!(cal.peek(), None);
-        prop_assert!(cal.is_empty());
+        prop_assert_eq!(q.peek(), None);
+        prop_assert!(q.is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! queue, max-delay batching window and busy-slice accounting in
 //! isolation.
 //!
-//! `simulate_serving` runs one fleet-wide calendar per load point and
+//! `simulate_serving` runs one fleet-wide event queue per load point and
 //! merges the pre-sorted arrivals against it with a cursor instead of
 //! queueing them. On a healthy fleet the chips never interact, so the
 //! two must agree on every field of every `LoadPointOutcome`:
