@@ -90,8 +90,10 @@ pub struct DesMicro {
     pub flows: usize,
     /// Packets delivered.
     pub packets: u64,
-    /// Heap events the wait-queue scheduler processed (the PR-2
-    /// efficiency counter; retry polling needed ≥ 2× more).
+    /// Logical scheduler events (`SimReport::heap_events`): the link
+    /// arrivals and wakes the event queue processed, plus the source-NI
+    /// arrivals, NI wakes and deliveries resolved in closed form.
+    /// Retry polling needed ≥ 2× more.
     pub heap_events: u64,
     /// Simulated makespan, cycles.
     pub makespan_cycles: u64,

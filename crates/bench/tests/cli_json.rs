@@ -61,3 +61,28 @@ fn config_rejections_surface_as_clean_cli_errors() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("sim_sampling"), "{stderr}");
 }
+
+#[test]
+fn out_of_range_float_overrides_are_clean_cli_errors() {
+    // A zero vertical conductance used to print an absurd peak
+    // temperature and exit 0; NaN and negative budgets were silently
+    // treated as "disabled".
+    for set in [
+        "thermal.g_vertical=0",
+        "thermal.g_vertical=NaN",
+        "dynamic_power_budget_w=-1",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pim-bench"))
+            .args(["run", "fig7", "--set", set])
+            .output()
+            .expect("pim-bench spawns");
+        assert_eq!(out.status.code(), Some(1), "{set}");
+        let key = set.split('=').next().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(key), "{set}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{set}: no table on a rejected config"
+        );
+    }
+}

@@ -14,11 +14,19 @@ use topology::HwParams;
 /// Returned by [`SystemConfig::validate`] and
 /// [`SystemConfigBuilder::set`] instead of letting zero grid dimensions,
 /// `sim_sampling == 0` or `snapshot_every == 0` panic (division/modulo
-/// by zero) deep inside the platforms.
+/// by zero) deep inside the platforms, or a zero, negative or non-finite
+/// float parameter print nonsense temperatures.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// A field that must be strictly positive is zero.
     ZeroField(&'static str),
+    /// A float field is non-finite or below its lower bound.
+    OutOfRange {
+        /// The offending field, named as its `--set` key.
+        field: &'static str,
+        /// The range the field must lie in, e.g. `"finite and > 0"`.
+        expected: &'static str,
+    },
     /// `--set key=value` named a key the builder does not know.
     UnknownKey(String),
     /// `--set key=value` value failed to parse for its key's type.
@@ -35,6 +43,9 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroField(field) => {
                 write!(f, "config field `{field}` must be > 0")
+            }
+            ConfigError::OutOfRange { field, expected } => {
+                write!(f, "config field `{field}` must be {expected}")
             }
             ConfigError::UnknownKey(key) => {
                 write!(
@@ -147,11 +158,15 @@ impl SystemConfig {
     /// (division by zero scaling traffic), `snapshot_every == 0` (modulo
     /// by zero in the churn schedule), plus zero `batch`,
     /// `activation_bytes` and `pim.crossbars_per_node` (no traffic / no
-    /// capacity).
+    /// capacity). The float parameters must be finite: the vertical
+    /// thermal conductance `thermal.g_vertical` strictly positive (zero
+    /// disconnects the tiers from the heat sink) and
+    /// `dynamic_power_budget_w` non-negative (0 disables the budget).
     ///
     /// # Errors
     ///
-    /// [`ConfigError::ZeroField`] naming the first offending field.
+    /// [`ConfigError::ZeroField`] or [`ConfigError::OutOfRange`] naming
+    /// the first offending field.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let positives: [(&'static str, u64); 7] = [
             ("width", u64::from(self.width)),
@@ -169,6 +184,20 @@ impl SystemConfig {
         }
         if self.pim.crossbars_per_node == 0 {
             return Err(ConfigError::ZeroField("pim.crossbars_per_node"));
+        }
+        let g = self.thermal.g_vertical;
+        if !(g.is_finite() && g > 0.0) {
+            return Err(ConfigError::OutOfRange {
+                field: "thermal.g_vertical",
+                expected: "finite and > 0",
+            });
+        }
+        let budget = self.dynamic_power_budget_w;
+        if !(budget.is_finite() && budget >= 0.0) {
+            return Err(ConfigError::OutOfRange {
+                field: "dynamic_power_budget_w",
+                expected: "finite and >= 0",
+            });
         }
         Ok(())
     }
@@ -354,6 +383,59 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_out_of_range_floats() {
+        let g_vertical = ConfigError::OutOfRange {
+            field: "thermal.g_vertical",
+            expected: "finite and > 0",
+        };
+        for g in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut cfg = SystemConfig::stacked_3d();
+            cfg.thermal.g_vertical = g;
+            assert_eq!(cfg.validate(), Err(g_vertical.clone()), "g_vertical = {g}");
+        }
+        let budget = ConfigError::OutOfRange {
+            field: "dynamic_power_budget_w",
+            expected: "finite and >= 0",
+        };
+        for w in [-1.0, -f64::MIN_POSITIVE, f64::NAN, f64::INFINITY] {
+            let mut cfg = SystemConfig::stacked_3d();
+            cfg.dynamic_power_budget_w = w;
+            assert_eq!(cfg.validate(), Err(budget.clone()), "budget = {w}");
+        }
+        // Boundary values stay valid: the smallest positive conductance,
+        // and a zero budget (normalization disabled).
+        let mut cfg = SystemConfig::stacked_3d();
+        cfg.thermal.g_vertical = f64::MIN_POSITIVE;
+        cfg.dynamic_power_budget_w = 0.0;
+        cfg.validate().unwrap();
+    }
+
+    #[test]
+    fn builder_rejects_out_of_range_float_overrides() {
+        // `--set` parses these values as floats, so the range check in
+        // `build` is what rejects them.
+        for (key, value) in [
+            ("thermal.g_vertical", "0"),
+            ("thermal.g_vertical", "-1"),
+            ("thermal.g_vertical", "NaN"),
+            ("thermal.g_vertical", "inf"),
+            ("dynamic_power_budget_w", "-5"),
+            ("dynamic_power_budget_w", "NaN"),
+        ] {
+            let err = SystemConfig::stacked_3d()
+                .builder()
+                .set(key, value)
+                .unwrap()
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(err, ConfigError::OutOfRange { field, .. } if field == key),
+                "{key}={value}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn builder_sets_every_documented_key() {
         let mut b = SystemConfig::datacenter_25d().builder();
         for key in SystemConfigBuilder::KEYS {
@@ -398,6 +480,11 @@ mod tests {
         assert!(ConfigError::ZeroField("width")
             .to_string()
             .contains("width"));
+        let e = ConfigError::OutOfRange {
+            field: "thermal.g_vertical",
+            expected: "finite and > 0",
+        };
+        assert!(e.to_string().contains("thermal.g_vertical") && e.to_string().contains("> 0"));
         assert!(ConfigError::UnknownKey("xyz".into())
             .to_string()
             .contains("xyz"));

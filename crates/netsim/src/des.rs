@@ -2,30 +2,37 @@
 //! switching.
 //!
 //! Flows are segmented into packets; every directed link channel and every
-//! source network interface is a FIFO resource. A packet occupies each
-//! channel on its path for its serialization time; the header advances one
-//! hop per `router_pipeline + wire` delay and the payload streams behind
-//! it (cut-through). Contention appears as busy channels that delay the
-//! header.
+//! source network interface (NI) is a FIFO resource. A packet occupies
+//! each channel on its path for its serialization time; the header
+//! advances one hop per `router_pipeline + wire` delay and the payload
+//! streams behind it (cut-through). Contention appears as busy channels
+//! that delay the header.
 //!
 //! The event loop is wait-queue based: a packet whose header reaches a
-//! busy channel is parked once in that channel's FIFO queue and woken by
-//! a single channel-release event — there is no retry polling, so every
-//! packet costs one scheduler event per hop (plus its delivery event) and
-//! one wake per contended acquisition. Events are dispatched by an
-//! [`EventQueue`], a binary min-heap in exact `(time, key)` order, whose
-//! secondary key breaks same-cycle ties deterministically. Service order
-//! on a contended channel is strictly by header arrival time, and the
-//! simulation is fully deterministic.
+//! busy link channel is parked once in that channel's FIFO queue and
+//! woken by a single channel-release event — there is no retry polling.
+//! Events are dispatched by an [`EventQueue`], a binary min-heap in exact
+//! `(time, key)` order, whose secondary key breaks same-cycle ties
+//! deterministically. Service order on a contended channel is strictly by
+//! header arrival time, and the simulation is fully deterministic.
+//!
+//! Only link contention goes through the queue. Every packet enters its
+//! source NI's FIFO at cycle 0 in `seq` order and NIs are never faulted,
+//! so each NI grant is the running sum of the earlier packets'
+//! serialization times there: start-up resolves the NI in closed form and
+//! queues just the first-link header of each NI's head packet, and a
+//! packet's first link arrival releases its NI successor. A packet's
+//! delivery time is written when its last hop is granted. The report's
+//! [`SimReport::heap_events`] still counts the model's logical events —
+//! the NI arrivals, wakes and deliveries resolved without the queue
+//! included — so it is independent of these shortcuts.
 //!
 //! All simulator state is arena-backed SoA held in a reusable
-//! [`SimScratch`]: packet hop records live in flat vectors sliced by a
-//! per-packet offset table, and wait-queue nodes come from a pooled
-//! free-list chained by index — no per-packet heap allocation, and a warm
-//! scratch runs the whole simulation without allocating at all. The
-//! time-0 injection burst (every packet enters at cycle 0) is dispatched
-//! directly in `(time, key)` order instead of through the queue, which
-//! skips one push/pop pair per packet.
+//! [`SimScratch`]: each flow's route (channels and hop delays) is stored
+//! once in flat vectors and every packet names its route by index;
+//! wait-queue nodes come from a pooled free-list chained by index — no
+//! per-packet heap allocation, and a warm scratch runs the whole
+//! simulation without allocating at all.
 
 use serde::{Deserialize, Serialize};
 use topology::{HwParams, LinkId, NodeId, Topology};
@@ -72,9 +79,12 @@ pub struct SimReport {
     /// Cycles headers spent parked in channel wait queues, summed over
     /// all traversals (pure contention; zero on an idle network).
     pub total_channel_wait_cycles: u64,
-    /// Heap events processed by the scheduler: one per channel traversal
-    /// and one delivery event per packet, plus one wake per contended
-    /// channel acquisition.
+    /// Logical scheduler events of the model: one header arrival per
+    /// channel traversal, one delivery per packet, one wake per contended
+    /// channel acquisition and one per fault deferral. The source-NI
+    /// arrivals and wakes and the deliveries are resolved in closed form
+    /// without touching the event queue, but are counted all the same,
+    /// so this is a property of the traffic, not of the engine.
     pub heap_events: u64,
     /// Cycles headers spent stalled at transiently faulted channels,
     /// summed over all deferrals (zero on a healthy network).
@@ -88,7 +98,8 @@ pub struct SimReport {
 /// window end, accumulating [`SimReport::total_fault_wait_cycles`].
 /// Windows gate header *arrivals*; a header already parked in the
 /// channel's FIFO when the fault strikes is granted normally, modelling
-/// a link that drops its handshake but preserves buffered flits.
+/// a link that drops its handshake but preserves buffered flits. Only
+/// link channels carry windows; source NIs are never faulted.
 #[derive(Clone, Debug, Default)]
 pub struct LinkFaults {
     /// `windows[channel]` holds ascending, non-overlapping `[start, end)`
@@ -107,7 +118,7 @@ impl LinkFaults {
     /// of the link. Windows are sorted and merged per channel.
     pub fn from_link_windows(topo: &Topology, faults: &[(LinkId, u64, u64)]) -> LinkFaults {
         let n_links = topo.link_count();
-        let mut windows = vec![Vec::new(); 2 * n_links + topo.node_count()];
+        let mut windows = vec![Vec::new(); 2 * n_links];
         for &(lid, start, end) in faults {
             if end <= start {
                 continue;
@@ -150,7 +161,8 @@ enum EventKind {
     /// A channel finished serializing its current packet; serve the next
     /// waiter from the channel's FIFO queue.
     Free { ch: u32 },
-    /// A packet header arrives wanting its `hop`-th channel.
+    /// A packet header arrives wanting its `hop`-th channel (hop 0 is the
+    /// source NI, which is resolved at start-up and never queued).
     Header { seq: u32, hop: u16 },
 }
 
@@ -183,7 +195,8 @@ impl EventKind {
     }
 }
 
-/// Sentinel index for "no node" in the wait-queue free lists.
+/// Sentinel index for "no node" in the wait-queue free lists, and for
+/// "no successor" in the NI chains.
 const NIL: u32 = u32::MAX;
 
 /// A parked header in a channel's FIFO wait queue. Nodes live in the
@@ -197,30 +210,34 @@ struct WaitNode {
     next: u32,
 }
 
-/// Arena-backed SoA packet storage. The hop records of every packet of a
-/// run live in two flat vectors (`channels`, `hop_delay`) sliced by the
-/// `offsets` table, so segmenting a flow into packets appends to four
-/// vectors instead of allocating two boxed `Vec`s per packet.
+/// Arena-backed SoA packet storage. Each flow's route — its source NI
+/// then its directed links — is stored once in two flat vectors
+/// (`route_channels`, `route_delay`) sliced by `route_offsets`, and each
+/// packet names its flow's route by index, so segmenting a flow into
+/// packets appends three words per packet instead of copying the path.
 // pim-lint: scratch
 #[derive(Default)]
 struct PacketArena {
-    /// `offsets[i]..offsets[i + 1]` bounds packet `i`'s hop records;
-    /// always one longer than the packet count.
-    offsets: Vec<u32>,
+    /// `route_offsets[r]..route_offsets[r + 1]` bounds route `r`'s hop
+    /// records; always one longer than the route count.
+    route_offsets: Vec<u32>,
     /// Channel id of each traversal: the source NI, then directed links.
-    channels: Vec<u32>,
+    route_channels: Vec<u32>,
     /// Header delay of each traversal.
-    hop_delay: Vec<u64>,
+    route_delay: Vec<u64>,
+    /// Route index of each packet.
+    route: Vec<u32>,
     ser_cycles: Vec<u64>,
     delivered_at: Vec<u64>,
 }
 
 impl PacketArena {
     fn clear(&mut self) {
-        self.offsets.clear();
-        self.offsets.push(0);
-        self.channels.clear();
-        self.hop_delay.clear();
+        self.route_offsets.clear();
+        self.route_offsets.push(0);
+        self.route_channels.clear();
+        self.route_delay.clear();
+        self.route.clear();
         self.ser_cycles.clear();
         self.delivered_at.clear();
     }
@@ -229,14 +246,11 @@ impl PacketArena {
         self.ser_cycles.len()
     }
 
-    /// First hop-record index of packet `seq`.
-    fn start(&self, seq: usize) -> usize {
-        self.offsets[seq] as usize
-    }
-
-    /// Number of channel traversals of packet `seq`.
-    fn hops(&self, seq: usize) -> usize {
-        (self.offsets[seq + 1] - self.offsets[seq]) as usize
+    /// First hop-record index of packet `seq`'s route, and its hop count.
+    fn route_span(&self, seq: usize) -> (usize, usize) {
+        let r = self.route[seq] as usize;
+        let lo = self.route_offsets[r] as usize;
+        (lo, self.route_offsets[r + 1] as usize - lo)
     }
 }
 
@@ -252,11 +266,24 @@ struct LoopStats {
     faulted_traversals: u64,
 }
 
+impl LoopStats {
+    /// Records one channel traversal whose header arrived at `arrived`,
+    /// was granted at `now` and reaches the next hop at `header_arrives`.
+    fn traverse(&mut self, arrived: u64, now: u64, header_arrives: u64) {
+        let hop_latency = header_arrives - arrived;
+        self.hop_traversals += 1;
+        self.hop_latency_total += hop_latency;
+        self.hop_latency_max = self.hop_latency_max.max(hop_latency);
+        self.wait_total += now - arrived;
+    }
+}
+
 /// Reusable simulator state: the packet arena, the scheduler (busy
-/// times, wait queues, event queue), and the report buffers. Construct one
-/// per worker and pass it to [`simulate_with_scratch`] run after run —
-/// every buffer is cleared with capacity kept, so a warm scratch makes
-/// the whole simulation allocation-free.
+/// times, wait queues, NI chains, event queue), and the routing buffer
+/// of the packet build. Construct one per worker and pass
+/// it to [`simulate_with_scratch`] run after run — every buffer is
+/// cleared with capacity kept, so a warm scratch makes the whole
+/// simulation allocation-free.
 pub struct SimScratch {
     arena: PacketArena,
     busy_until: Vec<u64>,
@@ -264,9 +291,17 @@ pub struct SimScratch {
     wait_tail: Vec<u32>,
     wait_nodes: Vec<WaitNode>,
     free_node: u32,
+    /// Per packet: the next packet queued on the same source NI, or
+    /// [`NIL`]; cleared once that successor is released.
+    ni_next: Vec<u32>,
+    /// Per packet: the cycle its header reaches its first link (NI grant
+    /// plus the NI's header delay).
+    first_link_at: Vec<u64>,
+    /// Per channel: the last packet chained on that source NI so far
+    /// (start-up only).
+    ni_tail: Vec<u32>,
     queue: EventQueue,
     stats: LoopStats,
-    latencies: Vec<u64>,
     path: Vec<LinkId>,
 }
 
@@ -292,9 +327,11 @@ impl SimScratch {
             wait_tail: Vec::new(),
             wait_nodes: Vec::new(),
             free_node: NIL,
+            ni_next: Vec::new(),
+            first_link_at: Vec::new(),
+            ni_tail: Vec::new(),
             queue: EventQueue::new(),
             stats: LoopStats::default(),
-            latencies: Vec::new(),
             path: Vec::new(),
         }
     }
@@ -305,7 +342,6 @@ impl SimScratch {
     /// invariant-documenting form the `scratch-reset` lint checks.
     pub fn reset(&mut self) {
         self.arena.clear();
-        self.latencies.clear();
         self.path.clear();
         self.reset_engine(0);
     }
@@ -319,6 +355,10 @@ impl SimScratch {
         self.wait_tail.resize(n_channels, NIL);
         self.wait_nodes.clear();
         self.free_node = NIL;
+        self.ni_next.clear();
+        self.first_link_at.clear();
+        self.ni_tail.clear();
+        self.ni_tail.resize(n_channels, NIL);
         self.queue.clear();
         self.stats = LoopStats::default();
     }
@@ -371,38 +411,80 @@ impl SimScratch {
         node
     }
 
-    /// Grants packet `seq` its `hop`-th channel at `now` (the header
-    /// arrived wanting it at `arrived <= now`) and schedules the next
-    /// hop.
-    fn acquire(&mut self, seq: u32, hop: u16, now: u64, arrived: u64) {
-        let start = self.arena.start(seq as usize);
-        let ch = self.arena.channels[start + hop as usize] as usize;
-        self.busy_until[ch] = now + self.arena.ser_cycles[seq as usize];
-        let header_arrives = now + self.arena.hop_delay[start + hop as usize];
-        let hop_latency = header_arrives - arrived;
-        self.stats.hop_traversals += 1;
-        self.stats.hop_latency_total += hop_latency;
-        self.stats.hop_latency_max = self.stats.hop_latency_max.max(hop_latency);
-        self.stats.wait_total += now - arrived;
-        self.queue.push(
-            header_arrives,
-            EventKind::Header { seq, hop: hop + 1 }.order_key(),
-        );
+    /// Resolves every source NI in closed form. All packets enter their
+    /// NI's FIFO at cycle 0 in `seq` order and NIs are never faulted, so
+    /// a packet's grant is the sum of the earlier packets' serialization
+    /// times on that NI. Records each NI traversal's statistics, counts
+    /// the logical arrival (every packet) and wake (every packet but an
+    /// NI's first) events, chains each NI's packets through `ni_next`,
+    /// and queues the first-link header of each NI's head packet only.
+    fn inject(&mut self) {
+        let n = self.arena.len();
+        self.ni_next.resize(n, NIL);
+        self.first_link_at.resize(n, 0);
+        for seq in 0..n {
+            let (lo, _) = self.arena.route_span(seq);
+            let ni = self.arena.route_channels[lo] as usize;
+            let grant = self.busy_until[ni];
+            self.busy_until[ni] = grant + self.arena.ser_cycles[seq];
+            let at = grant + self.arena.route_delay[lo];
+            self.stats.traverse(0, grant, at);
+            self.first_link_at[seq] = at;
+            let seq = topology::narrow::u32_idx(seq);
+            let prev = std::mem::replace(&mut self.ni_tail[ni], seq);
+            if prev == NIL {
+                self.stats.heap_events += 1;
+                self.queue
+                    .push(at, EventKind::Header { seq, hop: 1 }.order_key());
+            } else {
+                self.stats.heap_events += 2;
+                self.ni_next[prev as usize] = seq;
+            }
+        }
     }
 
-    /// Handles a Header event: deliver past the last hop, defer off a
-    /// faulted channel, acquire a free channel, or park on a busy one
-    /// (the first waiter arms the channel's release event). Returns
-    /// `true` on delivery.
-    fn dispatch_header(&mut self, seq: u32, hop: u16, time: u64, faults: &LinkFaults) -> bool {
+    /// Grants packet `seq` its `hop`-th channel at `now` (the header
+    /// arrived wanting it at `arrived <= now`) and schedules the next
+    /// hop, or — past the last hop — records the delivery directly: the
+    /// tail drains one serialization window after the header lands.
+    fn acquire(&mut self, seq: u32, hop: u16, now: u64, arrived: u64) {
         let s = seq as usize;
-        if hop as usize >= self.arena.hops(s) {
-            // Tail drains one serialization window after the header
-            // lands.
-            self.arena.delivered_at[s] = time + self.arena.ser_cycles[s];
-            return true;
+        let (lo, hops) = self.arena.route_span(s);
+        let h = lo + hop as usize;
+        let ser = self.arena.ser_cycles[s];
+        let ch = self.arena.route_channels[h] as usize;
+        self.busy_until[ch] = now + ser;
+        let header_arrives = now + self.arena.route_delay[h];
+        self.stats.traverse(arrived, now, header_arrives);
+        if hop as usize + 1 == hops {
+            self.stats.heap_events += 1;
+            self.arena.delivered_at[s] = header_arrives + ser;
+        } else {
+            self.queue.push(
+                header_arrives,
+                EventKind::Header { seq, hop: hop + 1 }.order_key(),
+            );
         }
-        let ch = self.arena.channels[self.arena.start(s) + hop as usize] as usize;
+    }
+
+    /// Handles a link Header event: defer off a faulted channel, acquire
+    /// a free channel, or park on a busy one (the first waiter arms the
+    /// channel's release event). A packet's first link arrival also
+    /// releases its NI successor, exactly once: its first-link time is
+    /// strictly later (`ser >= 1`), so it enters the queue in time.
+    fn dispatch_header(&mut self, seq: u32, hop: u16, time: u64, faults: &LinkFaults) {
+        let s = seq as usize;
+        if hop == 1 {
+            let next = std::mem::replace(&mut self.ni_next[s], NIL);
+            if next != NIL {
+                self.queue.push(
+                    self.first_link_at[next as usize],
+                    EventKind::Header { seq: next, hop: 1 }.order_key(),
+                );
+            }
+        }
+        let (lo, _) = self.arena.route_span(s);
+        let ch = self.arena.route_channels[lo + hop as usize] as usize;
         if let Some(end) = faults.blocked_until(ch, time) {
             // The channel is mid-blackout: defer the header to the
             // window end with a single rescheduled event (re-checked on
@@ -411,7 +493,7 @@ impl SimScratch {
             self.stats.faulted_traversals += 1;
             self.queue
                 .push(end, EventKind::Header { seq, hop }.order_key());
-            return false;
+            return;
         }
         if self.busy_until[ch] <= time && !self.has_waiters(ch) {
             self.acquire(seq, hop, time, time);
@@ -427,7 +509,6 @@ impl SimScratch {
             }
             self.park(ch, seq, hop, time);
         }
-        false
     }
 }
 
@@ -445,9 +526,10 @@ pub fn simulate(topo: &Topology, hw: &HwParams, flows: &[Flow], cfg: &SimConfig)
     simulate_with_table(topo, hw, flows, cfg, &rt)
 }
 
-/// Segments `flows` into packets with per-hop channel ids and delays,
-/// appending to the arena. Flows with `src == dst` or zero bytes carry
-/// no traffic and produce no packets (and contribute no energy).
+/// Segments `flows` into packets, storing each flow's route (source NI,
+/// then directed links, with per-hop delays) once in the arena. Flows
+/// with `src == dst` or zero bytes carry no traffic and produce no
+/// packets (and contribute no energy).
 fn build_packets_into(
     topo: &Topology,
     hw: &HwParams,
@@ -478,30 +560,39 @@ fn build_packets_into(
         // `path_into` clears and refills the scratch buffer per flow, so
         // routing never allocates once the buffer is warm.
         rt.path_into(topo, f.src, f.dst, path);
+        debug_assert!(!path.is_empty(), "src != dst routes at least one link");
+        let route = topology::narrow::u32_idx(arena.route_offsets.len() - 1);
+        // NI injection: router pipeline to enter the network.
+        arena
+            .route_channels
+            .push(topology::narrow::u32_idx(ni_base) + f.src.0);
+        arena.route_delay.push(hw.router_pipeline_cycles as u64);
+        let mut at = f.src;
+        for lid in path.iter() {
+            let link = topo.link(*lid);
+            arena.route_channels.push(channel_of(*lid, at));
+            arena.route_delay.push(hw.hop_cycles(link.length_hops));
+            at = link.opposite(at);
+        }
+        arena
+            .route_offsets
+            .push(topology::narrow::u32_idx(arena.route_channels.len()));
+
         let mut remaining = f.bytes;
         while remaining > 0 {
             let size = remaining.min(cfg.packet_bytes as u64);
             remaining -= size;
             let flits = size.div_ceil(hw.flit_bytes as u64).max(1);
             let bits = size * 8;
-            // NI injection: router pipeline to enter the network.
-            arena
-                .channels
-                .push(topology::narrow::u32_idx(ni_base) + f.src.0);
-            arena.hop_delay.push(hw.router_pipeline_cycles as u64);
             let mut at = f.src;
             for lid in path.iter() {
                 let link = topo.link(*lid);
-                arena.channels.push(channel_of(*lid, at));
-                arena.hop_delay.push(hw.hop_cycles(link.length_hops));
                 energy_pj += hw.hop_energy_pj(bits, topo.ports(at), link.length_hops);
-                flit_hops += flits;
                 at = link.opposite(at);
             }
             energy_pj += bits as f64 * hw.router_energy_pj_per_bit(topo.ports(f.dst));
-            arena
-                .offsets
-                .push(topology::narrow::u32_idx(arena.channels.len()));
+            flit_hops += flits * path.len() as u64;
+            arena.route.push(route);
             arena.ser_cycles.push(flits);
             arena.delivered_at.push(0);
         }
@@ -509,50 +600,18 @@ fn build_packets_into(
     (energy_pj, flit_hops)
 }
 
-/// The wait-queue event loop. Each packet enters the queue once per
-/// hop; a header that finds its channel busy parks in the channel's FIFO
-/// and is woken by a single [`EventKind::Free`] event, so contended
-/// channels serve strictly in header-arrival order.
+/// The wait-queue event loop. The source NIs are resolved up front
+/// ([`SimScratch::inject`]); each packet then enters the queue once per
+/// link hop, and a header that finds its channel busy parks in the
+/// channel's FIFO and is woken by a single [`EventKind::Free`] event, so
+/// contended channels serve strictly in header-arrival order.
 fn run_event_loop(st: &mut SimScratch, n_channels: usize, faults: &LinkFaults) {
     st.reset_engine(n_channels);
-    let n = st.arena.len();
-    let mut delivered = 0usize;
-
-    // Time-0 burst fast path. Every packet is injected at cycle 0. When
-    // every first-hop delay is >= 1 (serialization always is), every
-    // event generated while draining the burst lands strictly after
-    // cycle 0, so dispatching seqs in ascending order IS the queue's
-    // (time, key) dequeue order for the burst: skip the n push/pop
-    // pairs, with identical heap_events accounting.
-    let burst_direct = (0..n).all(|s| st.arena.hop_delay[st.arena.start(s)] > 0);
-    if burst_direct {
-        for seq in 0..n {
-            st.stats.heap_events += 1;
-            if st.dispatch_header(topology::narrow::u32_idx(seq), 0, 0, faults) {
-                delivered += 1;
-            }
-        }
-    } else {
-        for seq in 0..n {
-            st.queue.push(
-                0,
-                EventKind::Header {
-                    seq: topology::narrow::u32_idx(seq),
-                    hop: 0,
-                }
-                .order_key(),
-            );
-        }
-    }
-
+    st.inject();
     while let Some((time, key)) = st.queue.pop() {
         st.stats.heap_events += 1;
         match EventKind::from_order_key(key) {
-            EventKind::Header { seq, hop } => {
-                if st.dispatch_header(seq, hop, time, faults) {
-                    delivered += 1;
-                }
-            }
+            EventKind::Header { seq, hop } => st.dispatch_header(seq, hop, time, faults),
             EventKind::Free { ch } => {
                 let w = st.pop_waiter(ch as usize);
                 st.acquire(w.seq, w.hop, time, w.arrived);
@@ -565,17 +624,18 @@ fn run_event_loop(st: &mut SimScratch, n_channels: usize, faults: &LinkFaults) {
             }
         }
     }
-    debug_assert_eq!(delivered, n);
+    debug_assert!(st.arena.delivered_at.iter().all(|&d| d > 0));
 }
 
-/// Nearest-rank percentile on an ascending-sorted slice: the smallest
-/// value with at least `pct`% of the samples at or below it.
-fn percentile_nearest_rank(sorted: &[u64], pct: u64) -> u64 {
-    if sorted.is_empty() {
+/// The nearest-rank 95th percentile of `values` — the smallest value
+/// with at least 95% of the samples at or below it — found by selection,
+/// which reorders `values`. Zero when `values` is empty.
+fn p95_nearest_rank(values: &mut [u64]) -> u64 {
+    if values.is_empty() {
         return 0;
     }
-    let rank = (sorted.len() as u64 * pct).div_ceil(100).max(1) as usize;
-    sorted[rank - 1]
+    let rank = (values.len() as u64 * 95).div_ceil(100).max(1) as usize;
+    *values.select_nth_unstable(rank - 1).1
 }
 
 /// [`simulate`] with a prebuilt routing table.
@@ -625,24 +685,20 @@ pub fn simulate_faulty_with_scratch(
     let n_channels = 2 * topo.link_count() + topo.node_count();
     run_event_loop(scratch, n_channels, faults);
 
-    scratch.latencies.clear();
-    scratch
-        .latencies
-        .extend_from_slice(&scratch.arena.delivered_at);
-    scratch.latencies.sort_unstable();
-    let latencies = &scratch.latencies;
     let stats = &scratch.stats;
-    let makespan = latencies.last().copied().unwrap_or(0);
-    let mean = if latencies.is_empty() {
+    let delivered = &mut scratch.arena.delivered_at;
+    let packets = delivered.len() as u64;
+    let makespan = delivered.iter().copied().max().unwrap_or(0);
+    let mean = if delivered.is_empty() {
         0.0
     } else {
-        latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
+        delivered.iter().sum::<u64>() as f64 / packets as f64
     };
     SimReport {
         makespan_cycles: makespan,
         mean_packet_latency_cycles: mean,
-        p95_packet_latency_cycles: percentile_nearest_rank(latencies, 95),
-        packets: latencies.len() as u64,
+        p95_packet_latency_cycles: p95_nearest_rank(delivered),
+        packets,
         flit_hops,
         total_energy_pj: energy_pj,
         mean_hop_header_latency_cycles: if stats.hop_traversals == 0 {
@@ -694,11 +750,10 @@ mod tests {
     fn arena_to_aos(arena: &PacketArena) -> Vec<Packet> {
         (0..arena.len())
             .map(|s| {
-                let lo = arena.start(s);
-                let hi = lo + arena.hops(s);
+                let (lo, hops) = arena.route_span(s);
                 Packet {
-                    channels: arena.channels[lo..hi].to_vec(),
-                    hop_delay: arena.hop_delay[lo..hi].to_vec(),
+                    channels: arena.route_channels[lo..lo + hops].to_vec(),
+                    hop_delay: arena.route_delay[lo..lo + hops].to_vec(),
                     ser_cycles: arena.ser_cycles[s],
                     delivered_at: arena.delivered_at[s],
                 }
@@ -871,11 +926,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_first_hop_delay_falls_back_to_queue() {
-        // router_pipeline_cycles = 0 defeats the burst fast path's
-        // precondition (first-hop headers would re-enter cycle 0); the
-        // fallback must still order the burst exactly like the reference
-        // retry-polling loop on a contention-free pattern.
+    fn zero_router_pipeline_matches_retry_polling_reference() {
+        // router_pipeline_cycles = 0: a packet's first-link header lands
+        // in the very cycle its NI grant starts, and the closed-form NI
+        // chain must still release every successor in time. Each row
+        // source sends two packets back to back, and node 0 also feeds a
+        // column flow queued behind its row flow, so NIs hold up to four
+        // packets; no two flows share a link, so the FIFO order is
+        // unambiguous and the seed's retry-polling loop agrees exactly.
         let topo = mesh5();
         let hw = HwParams {
             router_pipeline_cycles: 0,
@@ -883,16 +941,20 @@ mod tests {
         };
         let cfg = SimConfig::default();
         let rt = RouteTable::build(&topo, &hw);
-        let flows: Vec<Flow> = (0..5)
-            .map(|i| Flow::new(NodeId(i * 5), NodeId(i * 5 + 4), 512))
+        let mut flows: Vec<Flow> = (0..5)
+            .map(|i| Flow::new(NodeId(i * 5), NodeId(i * 5 + 4), 2048))
             .collect();
+        flows.push(Flow::new(NodeId(0), NodeId(20), 2048));
         let (arena, _, _) = build_packets(&topo, &hw, &flows, &cfg, &rt);
-        assert!(arena.hop_delay[arena.start(0)] == 0, "guard must trip");
+        assert_eq!(arena.route_delay[arena.route_span(0).0], 0);
+        assert_eq!(arena.len(), 12);
         let n_channels = 2 * topo.link_count() + topo.node_count();
         let mut legacy = arena_to_aos(&arena);
         let st = run_arena(arena, n_channels);
         let (old, _) = retry_polling_reference(&mut legacy, n_channels);
         assert_eq!(st.arena.delivered_at, old);
+        // Every packet behind another on its NI waited there.
+        assert!(st.stats.wait_total > 0);
     }
 
     #[test]
@@ -981,19 +1043,25 @@ mod tests {
     #[test]
     fn p95_nearest_rank_boundaries() {
         // n = 1: the only sample is every percentile.
-        assert_eq!(percentile_nearest_rank(&[42], 95), 42);
-        // n = 20: rank ceil(0.95 * 20) = 19 -> the 19th smallest.
-        let v20: Vec<u64> = (1..=20).collect();
-        assert_eq!(percentile_nearest_rank(&v20, 95), 19);
+        assert_eq!(p95_nearest_rank(&mut [42]), 42);
+        // n = 20: rank ceil(0.95 * 20) = 19 -> the 19th smallest,
+        // whatever the input order.
+        let mut v20: Vec<u64> = (1..=20).rev().collect();
+        assert_eq!(p95_nearest_rank(&mut v20), 19);
         // n = 100: rank ceil(0.95 * 100) = 95 -> the 95th smallest.
-        let v100: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_nearest_rank(&v100, 95), 95);
+        let mut v100: Vec<u64> = (0..100).map(|i| (i * 37) % 100 + 1).collect();
+        assert_eq!(p95_nearest_rank(&mut v100), 95);
         // n = 10: rank ceil(9.5) = 10 -> the max. The seed's floor
         // truncation under-reported this as the 9th sample.
-        let v10: Vec<u64> = (1..=10).map(|i| i * 100).collect();
-        assert_eq!(percentile_nearest_rank(&v10, 95), 1000);
+        let mut v10: Vec<u64> = [7, 1, 10, 3, 9, 2, 8, 4, 6, 5]
+            .iter()
+            .map(|i| i * 100)
+            .collect();
+        assert_eq!(p95_nearest_rank(&mut v10), 1000);
+        // Ties: the rank lands inside a run of equal values.
+        assert_eq!(p95_nearest_rank(&mut [5, 5, 5, 1, 5, 5]), 5);
         // Empty input stays 0.
-        assert_eq!(percentile_nearest_rank(&[], 95), 0);
+        assert_eq!(p95_nearest_rank(&mut []), 0);
     }
 
     #[test]

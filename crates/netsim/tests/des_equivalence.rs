@@ -3,26 +3,35 @@
 //! `reference_simulate` below is a test-only retelling of the simulator
 //! as it stood **before** the arena/SoA rewrite: each packet owns boxed
 //! `Vec`s (AoS), channel wait queues are `VecDeque`s, and every event —
-//! including the whole time-0 injection burst — goes through a
-//! `std::collections::BinaryHeap` of its own, so the reference shares no
-//! scheduler code with the engine's [`netsim::EventQueue`]. It is built
-//! purely from `netsim`'s public API and computes the full
-//! [`SimReport`]. The production engine replaces all of that
-//! with flat arenas, an index-linked wait-node pool, and a direct burst
-//! dispatch, and must stay *observationally identical*: every field of
+//! the whole time-0 injection burst, every source-NI wake and every
+//! delivery included — goes through a `std::collections::BinaryHeap` of
+//! its own, so the reference shares no scheduler code with the engine's
+//! [`netsim::EventQueue`]. It is built purely from `netsim`'s public API
+//! and computes the full [`SimReport`] from a sorted latency list. The
+//! production engine replaces all of that with per-flow route records,
+//! an index-linked wait-node pool, source NIs and deliveries resolved in
+//! closed form, and a report read by selection, and must stay
+//! *observationally identical*: every field of
 //! the report, including float sums (same accumulation order),
 //! nearest-rank p95s, and `heap_events`, must match bit for bit on any
 //! topology, flow set, and packet size — with a fresh scratch or one
 //! dirtied by arbitrary earlier runs.
+//!
+//! The reference also carries its own transient link blackouts (sorted
+//! and merged per directed channel, applied to every header arrival and
+//! re-checked when the deferred header re-arrives), so
+//! [`simulate_faulty_with_scratch`] is held to the same bit-for-bit
+//! standard, fault totals included.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use netsim::{
-    simulate_with_scratch, simulate_with_table, Flow, RouteTable, SimConfig, SimReport, SimScratch,
+    simulate_faulty_with_scratch, simulate_with_scratch, simulate_with_table, Flow, LinkFaults,
+    RouteTable, SimConfig, SimReport, SimScratch,
 };
 use proptest::prelude::*;
-use topology::{floret, kite, mesh2d, HwParams, NodeId, Topology};
+use topology::{floret, kite, mesh2d, HwParams, LinkId, NodeId, Topology};
 
 /// AoS packet record, as the pre-arena engine stored it.
 struct Packet {
@@ -50,21 +59,54 @@ fn percentile_nearest_rank(sorted: &[u64], pct: u64) -> u64 {
     sorted[rank - 1]
 }
 
+/// Per-directed-channel blackout windows from undirected link windows:
+/// each `(link, start, end)` covers both directions; empty windows are
+/// dropped, and each channel's list is sorted and overlapping or
+/// touching windows merged.
+fn channel_windows(
+    n_links: usize,
+    n_channels: usize,
+    windows: &[(LinkId, u64, u64)],
+) -> Vec<Vec<(u64, u64)>> {
+    let mut per_channel = vec![Vec::new(); n_channels];
+    for &(lid, start, end) in windows {
+        if start < end {
+            per_channel[lid.0 as usize].push((start, end));
+            per_channel[lid.0 as usize + n_links].push((start, end));
+        }
+    }
+    for w in &mut per_channel {
+        w.sort_unstable();
+        let mut merged: Vec<(u64, u64)> = Vec::new();
+        for &(start, end) in w.iter() {
+            match merged.last_mut() {
+                Some(last) if start <= last.1 => last.1 = last.1.max(end),
+                _ => merged.push((start, end)),
+            }
+        }
+        *w = merged;
+    }
+    per_channel
+}
+
 /// The pre-arena wait-queue simulator, end to end: AoS packet build
 /// (same flow/hop iteration order, so float energy sums agree exactly),
 /// a min-heap-driven loop with `VecDeque` wait queues, and the same
-/// report arithmetic.
+/// report arithmetic. A header arriving at a channel inside one of
+/// `windows` is deferred to the window end by one rescheduled event.
 fn reference_simulate(
     topo: &Topology,
     hw: &HwParams,
     flows: &[Flow],
     cfg: &SimConfig,
     rt: &RouteTable,
+    windows: &[(LinkId, u64, u64)],
 ) -> SimReport {
     assert!(cfg.packet_bytes > 0);
     let n_links = topo.link_count();
     let ni_base = 2 * n_links;
     let n_channels = 2 * n_links + topo.node_count();
+    let blackouts = channel_windows(n_links, n_channels, windows);
 
     // --- AoS packet build ---------------------------------------------
     let mut packets: Vec<Packet> = Vec::new();
@@ -115,6 +157,8 @@ fn reference_simulate(
     let mut hop_latency_max = 0u64;
     let mut wait_total = 0u64;
     let mut heap_events = 0u64;
+    let mut fault_wait_total = 0u64;
+    let mut faulted_traversals = 0u64;
 
     for seq in 0..packets.len() {
         queue.push(Reverse((0, header_key(seq as u32, 0))));
@@ -158,6 +202,15 @@ fn reference_simulate(
                 continue;
             }
             let ch = p.channels[hop as usize] as usize;
+            if let Some(&(_, end)) = blackouts[ch]
+                .iter()
+                .find(|&&(start, end)| start <= time && time < end)
+            {
+                fault_wait_total += end - time;
+                faulted_traversals += 1;
+                queue.push(Reverse((end, key)));
+                continue;
+            }
             if busy_until[ch] <= time && waiters[ch].is_empty() {
                 acquire!(seq, hop, time, time);
             } else {
@@ -193,8 +246,8 @@ fn reference_simulate(
         max_hop_header_latency_cycles: hop_latency_max,
         total_channel_wait_cycles: wait_total,
         heap_events,
-        total_fault_wait_cycles: 0,
-        faulted_traversals: 0,
+        total_fault_wait_cycles: fault_wait_total,
+        faulted_traversals,
     }
 }
 
@@ -228,6 +281,88 @@ fn flow_set(seed: u64, n: usize) -> Vec<Flow> {
         .collect()
 }
 
+/// Deterministic blackout set from a seed. The first link out of the
+/// source that injects the most packets gets three windows: a window
+/// starting early (so that source's queued packets hit it), a second one
+/// touching it (merged into one), and a third one a single cycle after
+/// (a header deferred to the merged end re-arrives healthy, and the next
+/// packets run into the third). `n_random` more windows land on random
+/// links, with random starts and lengths, overlaps included.
+fn window_set(
+    topo: &Topology,
+    rt: &RouteTable,
+    flows: &[Flow],
+    cfg: &SimConfig,
+    seed: u64,
+    n_random: usize,
+) -> Vec<(LinkId, u64, u64)> {
+    let mut state = seed
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    let mut next = |modulo: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % modulo
+    };
+    let mut windows = Vec::new();
+    let mut packets_per_src = vec![0u64; topo.node_count()];
+    for f in flows.iter().filter(|f| f.src != f.dst && f.bytes > 0) {
+        packets_per_src[f.src.0 as usize] += f.bytes.div_ceil(u64::from(cfg.packet_bytes));
+    }
+    let busiest = (0..packets_per_src.len()).max_by_key(|&n| (packets_per_src[n], n));
+    if let Some(f) = busiest.filter(|&n| packets_per_src[n] > 0).and_then(|n| {
+        flows
+            .iter()
+            .find(|f| f.src.0 as usize == n && f.dst != f.src && f.bytes > 0)
+    }) {
+        let first_link = rt.path(topo, f.src, f.dst)[0];
+        let start = next(40);
+        let mid = start + 1 + next(120);
+        let end = mid + 1 + next(120);
+        windows.push((first_link, start, mid));
+        windows.push((first_link, mid, end));
+        windows.push((first_link, end + 1, end + 2 + next(200)));
+    }
+    for _ in 0..n_random {
+        let link = LinkId(next(topo.link_count() as u64) as u32);
+        let start = next(4000);
+        windows.push((link, start, start + 1 + next(300)));
+    }
+    windows
+}
+
+/// The faulty engine against the reference under `windows`: fresh
+/// scratch, and a scratch dirtied by a faulty and a healthy run first.
+fn faulty_runs(
+    topo: &Topology,
+    hw: &HwParams,
+    flows: &[Flow],
+    cfg: &SimConfig,
+    rt: &RouteTable,
+    windows: &[(LinkId, u64, u64)],
+    seed: u64,
+) -> (SimReport, SimReport) {
+    let faults = LinkFaults::from_link_windows(topo, windows);
+    let fresh =
+        simulate_faulty_with_scratch(topo, hw, flows, cfg, rt, &faults, &mut SimScratch::new());
+    let mut scratch = SimScratch::new();
+    let other = flow_set(seed ^ 0x5DEECE66D, 24);
+    let other_faults =
+        LinkFaults::from_link_windows(topo, &window_set(topo, rt, &other, cfg, seed, 6));
+    simulate_faulty_with_scratch(topo, hw, &other, cfg, rt, &other_faults, &mut scratch);
+    simulate_with_scratch(
+        topo,
+        hw,
+        &flow_set(seed.wrapping_add(7), 3),
+        cfg,
+        rt,
+        &mut scratch,
+    );
+    let dirty = simulate_faulty_with_scratch(topo, hw, flows, cfg, rt, &faults, &mut scratch);
+    (fresh, dirty)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -247,7 +382,7 @@ proptest! {
         let rt = RouteTable::build(&topo, &hw);
         let flows = flow_set(seed, n);
 
-        let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt);
+        let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt, &[]);
         let fresh = simulate_with_table(&topo, &hw, &flows, &cfg, &rt);
         prop_assert_eq!(&fresh, &expect);
 
@@ -262,11 +397,37 @@ proptest! {
         prop_assert_eq!(&dirty, &expect);
     }
 
-    /// A degenerate hardware config (`router_pipeline_cycles == 0`)
-    /// defeats the engine's time-0 burst fast path; the queue
-    /// fallback must still match the reference exactly.
+    /// Transient link blackouts: the faulty engine reproduces the
+    /// reference's whole `SimReport` — fault wait and deferral counts
+    /// included — on random topologies, flows, packet sizes and window
+    /// sets, fresh scratch and dirty scratch alike.
     #[test]
-    fn burst_fallback_matches_reference(
+    fn faulty_engine_matches_reference_under_blackouts(
+        topo_idx in 0usize..3,
+        seed in 0u64..10_000,
+        n in 0usize..30,
+        pb_idx in 0usize..4,
+        n_windows in 0usize..12,
+    ) {
+        let topo = arb_topology(topo_idx);
+        let hw = HwParams::default();
+        let cfg = SimConfig { packet_bytes: [64u32, 256, 1024, 4096][pb_idx] };
+        let rt = RouteTable::build(&topo, &hw);
+        let flows = flow_set(seed, n);
+        let windows = window_set(&topo, &rt, &flows, &cfg, seed, n_windows);
+
+        let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt, &windows);
+        let (fresh, dirty) = faulty_runs(&topo, &hw, &flows, &cfg, &rt, &windows, seed);
+        prop_assert_eq!(&fresh, &expect);
+        prop_assert_eq!(&dirty, &expect);
+    }
+
+    /// A degenerate hardware config (`router_pipeline_cycles == 0`):
+    /// first-link headers land in the cycle their NI grant starts, and
+    /// the engine's closed-form NI chain must still match the reference
+    /// exactly.
+    #[test]
+    fn zero_router_pipeline_matches_reference(
         topo_idx in 0usize..3,
         seed in 0u64..10_000,
         n in 0usize..20,
@@ -276,7 +437,7 @@ proptest! {
         let cfg = SimConfig::default();
         let rt = RouteTable::build(&topo, &hw);
         let flows = flow_set(seed, n);
-        let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt);
+        let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt, &[]);
         prop_assert_eq!(simulate_with_table(&topo, &hw, &flows, &cfg, &rt), expect);
     }
 }
@@ -295,8 +456,48 @@ fn scratch_sequence_tracks_reference() {
             packet_bytes: [128u32, 1024, 4096][step as usize % 3],
         };
         let flows = flow_set(step * 977, 4 + (step as usize * 5) % 26);
-        let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt);
+        let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt, &[]);
         let got = simulate_with_scratch(&topo, &hw, &flows, &cfg, &rt, &mut scratch);
         assert_eq!(got, expect, "diverged at step {step}");
     }
+}
+
+/// Blackouts on the first link out of a source with many queued packets,
+/// back to back: several headers stall on the merged `[10, 90)` window,
+/// the ones arriving a cycle later stall on `[91, 150)`, and the engine
+/// still matches the reference bit for bit. Node 0's second flow leaves
+/// on another link and then shares a column with node 12's long flow, so
+/// its packets' timing against that flow is observable: releasing them
+/// from the NI late (after a deferral instead of at the first arrival)
+/// would reorder the column's FIFO.
+#[test]
+fn first_link_blackouts_of_a_busy_source_match_reference() {
+    let topo = mesh2d(6, 6).unwrap();
+    let hw = HwParams::default();
+    let cfg = SimConfig { packet_bytes: 256 };
+    let rt = RouteTable::build(&topo, &hw);
+    let flows = [
+        Flow::new(NodeId(0), NodeId(5), 4096),
+        Flow::new(NodeId(0), NodeId(30), 4096),
+        Flow::new(NodeId(12), NodeId(30), 8192),
+        Flow::new(NodeId(6), NodeId(2), 2048),
+    ];
+    let first_link = rt.path(&topo, NodeId(0), NodeId(5))[0];
+    assert_ne!(first_link, rt.path(&topo, NodeId(0), NodeId(30))[0]);
+    let windows = [
+        (first_link, 10, 60),
+        (first_link, 60, 90),
+        (first_link, 91, 150),
+        (first_link, 400, 401),
+    ];
+    let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt, &windows);
+    assert!(
+        expect.faulted_traversals >= 10,
+        "the windows must bite: {} deferrals",
+        expect.faulted_traversals
+    );
+    assert!(expect.total_fault_wait_cycles > 0);
+    let (fresh, dirty) = faulty_runs(&topo, &hw, &flows, &cfg, &rt, &windows, 11);
+    assert_eq!(fresh, expect);
+    assert_eq!(dirty, expect);
 }
