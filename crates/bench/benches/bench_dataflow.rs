@@ -1,12 +1,13 @@
 //! Criterion benchmark for the dataflow axis: expanding one churned
-//! placement into per-mode transfer sets (`mapper::transfers_for`) and
-//! folding buffer residency into compute costs (`pim::model_cost_with`).
-//! The four modes share the aligned-slice walk, so their costs should
-//! stay within a small factor of the weight-stationary baseline.
+//! placement into per-mode transfer sets (`mapper::transfers_for_batch_into`)
+//! and folding buffer residency into compute costs (`pim::model_cost_with`).
+//! Both cost a mode as its uniform preset mapping, preset construction
+//! included; the four modes share the aligned-slice walk, so their costs
+//! should stay within a small factor of the weight-stationary baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnn::{build_model, Dataflow, Dataset, ModelKind, SegmentGraph};
-use mapper::{map_task_sfc, transfers_for, CapacityLedger, TaskId};
+use mapper::{map_task_sfc, transfers_for_batch_into, CapacityLedger, TaskId};
 use pim::{model_cost_with, PimConfig};
 use std::hint::black_box;
 use std::time::Duration;
@@ -21,9 +22,13 @@ fn dataflow(c: &mut Criterion) {
     let cfg = PimConfig::default();
 
     let mut group = c.benchmark_group("dataflow-resnet18");
+    let mut out = Vec::new();
     for df in Dataflow::all() {
         group.bench_function(format!("transfers-{df}"), |b| {
-            b.iter(|| transfers_for(black_box(&tp), black_box(&sg), 1, df))
+            b.iter(|| {
+                transfers_for_batch_into(black_box(&tp), black_box(&sg), 1, df, 1, &mut out);
+                out.len()
+            })
         });
     }
     group.bench_function("model-cost-4-modes", |b| {

@@ -46,7 +46,7 @@ fn solver_comparison(c: &mut Criterion) {
     for (stack, cfg) in [("m3d", ThermalConfig::m3d()), ("tsv", ThermalConfig::tsv())] {
         let mut g = c.benchmark_group(format!("thermal-5x5x4-{stack}"));
         g.bench_function("red-black-sor", |b| {
-            b.iter(|| solve_red_black(black_box(&power), &cfg, 1))
+            b.iter(|| solve_red_black(black_box(&power), &cfg))
         });
         g.bench_function("seed-gauss-seidel", |b| {
             b.iter(|| solve_reference(black_box(&power), &cfg))

@@ -4,10 +4,8 @@
 //!
 //! Every paper artifact (Tables I-II, Figs. 2-7, the ablations) is a
 //! registry entry; `pim-bench list | describe | run <name|all>` with
-//! `--format table|json|csv` replaces the twenty hand-rolled binaries.
-//! The per-figure binaries under `src/bin/` remain as thin shims that
-//! delegate to the registry ([`cli::shim`]) so existing CI invocations
-//! and README commands keep working.
+//! `--format table|json|csv` is the one command-line entry point
+//! (`pim-bench run fig3`, `pim-bench run all --format json`).
 //!
 //! # Examples
 //!

@@ -306,7 +306,7 @@ fn solver_micro() -> SolverMicro {
     let t = Instant::now();
     let mut rb_iters = 0;
     for _ in 0..REPS {
-        rb_iters = solve_red_black(&power, &cfg, 1).iterations;
+        rb_iters = solve_red_black(&power, &cfg).iterations;
     }
     let red_black_ms = ms(t) / f64::from(REPS);
     let t = Instant::now();

@@ -389,8 +389,7 @@ pub fn ascii_heatmap(slice: &[Vec<f64>], lo: f64, hi: f64) -> String {
 // ====================================================================
 // The standard experiment registry: every paper artifact registered
 // once, each run function a pure map from RunContext to the uniform
-// ExperimentOutput shape. The `pim-bench` CLI (and the thin per-figure
-// bin shims) are the only printers.
+// ExperimentOutput shape. The `pim-bench` CLI is the only printer.
 // ====================================================================
 
 macro_rules! cells {

@@ -6,9 +6,8 @@ use std::sync::Arc;
 
 use dnn::{build_model, Dataflow, ModelMapping, SegmentGraph, Workload};
 use mapper::{
-    placement_transfers, run_churn, run_queue, search_model, transfers_for_batch_into,
-    transfers_for_batch_mapped_into, ChurnOutcome, QueueOutcome, SearchOptions, Strategy,
-    StrategyKind,
+    placement_transfers, run_churn, run_queue, search_model, transfers_for_batch_mapped_into,
+    ChurnOutcome, QueueOutcome, SearchOptions, Strategy, StrategyKind,
 };
 use netsim::{
     analyze_with_table, sample_flows_into, simulate_with_scratch, Flow, RouteTable, SimConfig,
@@ -89,7 +88,7 @@ pub struct WorkloadReport {
     /// Total crossbar programming time across admissions, ns.
     pub program_latency_ns: f64,
     /// PIM compute energy across all mapped tasks, pJ — scaled by the
-    /// dataflow's buffer residency ([`pim::model_cost_with`]).
+    /// mapping's buffer residency ([`pim::model_cost_mapped`]).
     pub compute_energy_pj: f64,
     /// Sequential-bound PIM compute latency across all mapped tasks, ns
     /// (input-stationary pays a weight re-staging stall).
@@ -130,19 +129,54 @@ impl SearchedResolution {
     }
 }
 
-/// How a churned placement is costed: a fixed hand dataflow mode, or
-/// per-task resolved loop-nest mappings (the `searched` pseudo-mode).
-enum CostModel<'a> {
-    Mode(Dataflow),
-    Mapped(&'a [ModelMapping]),
+/// The per-task loop-nest mappings one cell is costed under, stored
+/// once per distinct model: task `i` borrows `models[of_task[i]]`.
+struct CellMappings {
+    models: Vec<ModelMapping>,
+    of_task: Vec<usize>,
 }
 
-impl CostModel<'_> {
-    fn tag(&self) -> &'static str {
-        match self {
-            CostModel::Mode(df) => df.name(),
-            CostModel::Mapped(_) => Dataflow::Searched.name(),
-        }
+impl CellMappings {
+    /// Builds one mapping per distinct model of `graphs`, in order of
+    /// first appearance. Tasks of one model share a graph (see
+    /// [`Platform25D::task_graphs`]), keyed by name, parameters and MACs.
+    fn per_model(
+        graphs: &[SegmentGraph],
+        mut build: impl FnMut(&SegmentGraph) -> ModelMapping,
+    ) -> Self {
+        let mut keys: Vec<(&str, u64, u64)> = Vec::new();
+        let mut models = Vec::new();
+        let of_task = graphs
+            .iter()
+            .map(|g| {
+                let macs = g.segments().iter().map(|s| s.macs).sum();
+                let key = (g.name(), g.total_params(), macs);
+                keys.iter().position(|&k| k == key).unwrap_or_else(|| {
+                    keys.push(key);
+                    models.push(build(g));
+                    models.len() - 1
+                })
+            })
+            .collect();
+        CellMappings { models, of_task }
+    }
+
+    /// The uniform preset mapping of a hand mode for every task.
+    fn preset(df: Dataflow, graphs: &[SegmentGraph]) -> Self {
+        Self::per_model(graphs, |g| ModelMapping::preset(df, g))
+    }
+
+    /// Each task's mapping, aligned with the task graphs.
+    fn per_task(&self) -> Vec<&ModelMapping> {
+        self.of_task.iter().map(|&i| &self.models[i]).collect()
+    }
+
+    /// Owned per-task copies, aligned with the task graphs.
+    fn into_per_task(self) -> Vec<ModelMapping> {
+        self.of_task
+            .iter()
+            .map(|&i| self.models[i].clone())
+            .collect()
     }
 }
 
@@ -363,31 +397,23 @@ impl Platform25D {
     /// contention differ across architectures.
     ///
     /// The placement itself is dataflow-independent (weights live where
-    /// the mapper put them); the dataflow decides which tensors cross the
-    /// NoI per segment edge ([`mapper::transfers_for_batch`]) and what
-    /// each MAC costs in buffer traffic ([`pim::model_cost_with`]).
+    /// the mapper put them). The dataflow is resolved to one
+    /// [`ModelMapping`] per task — a hand mode's uniform preset, or the
+    /// `searched` resolution — which decides which tensors cross the NoI
+    /// per segment edge ([`mapper::transfers_for_batch_mapped_into`]) and
+    /// what each MAC costs in buffer traffic ([`pim::model_cost_mapped`]).
     pub fn run_workload_with(&self, wl: &Workload, dataflow: Dataflow) -> WorkloadReport {
-        self.run_workload_dataflows(wl, std::slice::from_ref(&dataflow))
+        self.run_workload_dataflows_scratch(wl, &[dataflow], &mut SweepScratch::new())
             .pop()
             .expect("one dataflow in, one report out")
     }
 
-    /// Runs one workload under every mode in `dataflows`, in order. The
-    /// churned placement is dataflow-independent, so it is computed once
-    /// and only the transfer expansion, network replay and compute
-    /// costing repeat per mode — each report is bit-identical to the one
+    /// Runs one workload under every mode in `dataflows`, in order,
+    /// against caller-owned scratch (see [`SweepScratch`]). The churned
+    /// placement is dataflow-independent, so it is computed once and only
+    /// the transfer expansion, network replay and compute costing repeat
+    /// per mode — each report is bit-identical to the one
     /// [`Platform25D::run_workload_with`] would produce.
-    pub fn run_workload_dataflows(
-        &self,
-        wl: &Workload,
-        dataflows: &[Dataflow],
-    ) -> Vec<WorkloadReport> {
-        self.run_workload_dataflows_scratch(wl, dataflows, &mut SweepScratch::new())
-    }
-
-    /// [`Platform25D::run_workload_dataflows`] against caller-owned
-    /// scratch (see [`SweepScratch`]) — bit-identical reports, no
-    /// per-mode buffer churn.
     pub fn run_workload_dataflows_scratch(
         &self,
         wl: &Workload,
@@ -415,26 +441,18 @@ impl Platform25D {
         )
     }
 
-    /// Costs one pre-computed churn outcome under one dataflow — the
-    /// exact per-mode step of [`Platform25D::run_workload_dataflows`],
-    /// exposed so the evaluation cache can replay a memoized mapping
-    /// without redoing it. `graphs` and `outcome` must have been produced
-    /// for `wl` on this platform.
+    /// Costs one pre-computed churn outcome under one dataflow, against
+    /// caller-owned scratch — the exact per-mode step of
+    /// [`Platform25D::run_workload_dataflows_scratch`], exposed so the
+    /// evaluation cache can replay a memoized mapping without redoing it.
+    /// `graphs` and `outcome` must have been produced for `wl` on this
+    /// platform.
     ///
-    /// [`Dataflow::Searched`] is resolved here: the mapping search picks
-    /// per-task loop nests and the report carries the `"SRCH"` tag (see
+    /// A hand mode is costed as its uniform preset [`ModelMapping`], built
+    /// once per distinct model of the cell. [`Dataflow::Searched`] is
+    /// resolved here: the mapping search picks per-task loop nests and the
+    /// report carries the `"SRCH"` tag (see
     /// [`Platform25D::resolve_searched`]).
-    pub fn cost_churn_outcome(
-        &self,
-        wl: &Workload,
-        graphs: &[SegmentGraph],
-        outcome: &ChurnOutcome,
-        dataflow: Dataflow,
-    ) -> WorkloadReport {
-        self.cost_churn_outcome_scratch(wl, graphs, outcome, dataflow, &mut SweepScratch::new())
-    }
-
-    /// [`Platform25D::cost_churn_outcome`] against caller-owned scratch.
     pub fn cost_churn_outcome_scratch(
         &self,
         wl: &Workload,
@@ -448,7 +466,11 @@ impl Platform25D {
                 self.resolve_searched_scratch(wl, graphs, outcome, scratch)
                     .1
             }
-            df => self.report_from_outcome(wl, graphs, outcome, &CostModel::Mode(df), scratch),
+            df => {
+                let presets = CellMappings::preset(df, graphs);
+                let maps = presets.per_task();
+                self.report_from_outcome(wl, graphs, outcome, &maps, df.name(), scratch)
+            }
         }
     }
 
@@ -487,8 +509,15 @@ impl Platform25D {
     ) -> (SearchedResolution, WorkloadReport) {
         let mut candidates = self.searched_candidates(graphs);
         let mut best: Option<(usize, f64)> = None;
-        for (i, maps) in candidates.iter().enumerate() {
-            let rep = self.analytic_report(wl, graphs, outcome, &CostModel::Mapped(maps), scratch);
+        for (i, cand) in candidates.iter().enumerate() {
+            let rep = self.analytic_report(
+                wl,
+                graphs,
+                outcome,
+                &cand.per_task(),
+                Dataflow::Searched.name(),
+                scratch,
+            );
             let edp = self.report_edp(&rep);
             // Strict `<`: the searched candidate comes first and keeps
             // ties, making the resolution deterministic.
@@ -499,7 +528,7 @@ impl Platform25D {
         let (winner, _) = best.expect("at least the searched candidate was costed");
         // Scratch holds the last candidate's flows, so the winner is
         // costed afresh, snapshot replay included.
-        let resolution = SearchedResolution::new(candidates.swap_remove(winner));
+        let resolution = SearchedResolution::new(candidates.swap_remove(winner).into_per_task());
         let rep = self.cost_searched_resolution_scratch(wl, graphs, outcome, &resolution, scratch);
         (resolution, rep)
     }
@@ -533,11 +562,13 @@ impl Platform25D {
         resolution: &SearchedResolution,
         scratch: &mut SweepScratch,
     ) -> WorkloadReport {
+        let maps: Vec<&ModelMapping> = resolution.mappings.iter().collect();
         self.report_from_outcome(
             wl,
             graphs,
             outcome,
-            &CostModel::Mapped(&resolution.mappings),
+            &maps,
+            Dataflow::Searched.name(),
             scratch,
         )
     }
@@ -554,44 +585,30 @@ impl Platform25D {
     }
 
     /// The candidates [`Platform25D::resolve_searched`] ranks, in
-    /// tie-break order: the searched mappings, then one uniform preset
-    /// per hand mode.
-    fn searched_candidates(&self, graphs: &[SegmentGraph]) -> Vec<Vec<ModelMapping>> {
-        let mut candidates = Vec::with_capacity(5);
-        candidates.push(self.searched_task_mappings(graphs));
-        for df in Dataflow::all() {
-            candidates.push(graphs.iter().map(|g| ModelMapping::preset(df, g)).collect());
-        }
-        candidates
-    }
-
-    /// Per-task compute-optimal loop-nest mappings from the deterministic
-    /// beam search, memoized per distinct model within the workload.
-    fn searched_task_mappings(&self, graphs: &[SegmentGraph]) -> Vec<ModelMapping> {
+    /// tie-break order: the per-model compute-optimal mappings of the
+    /// deterministic beam search, then one uniform preset per hand mode.
+    fn searched_candidates(&self, graphs: &[SegmentGraph]) -> Vec<CellMappings> {
         let opts = SearchOptions::default();
-        let mut memo: BTreeMap<(String, u64, u64), ModelMapping> = BTreeMap::new();
-        graphs
-            .iter()
-            .map(|g| {
-                let macs: u64 = g.segments().iter().map(|s| s.macs).sum();
-                memo.entry((g.name().to_string(), g.total_params(), macs))
-                    .or_insert_with(|| search_model(g, &self.cfg.pim, &opts).mapping)
-                    .clone()
-            })
-            .collect()
+        std::iter::once(CellMappings::per_model(graphs, |g| {
+            search_model(g, &self.cfg.pim, &opts).mapping
+        }))
+        .chain(Dataflow::all().map(|df| CellMappings::preset(df, graphs)))
+        .collect()
     }
 
-    /// Costs one churned placement under one cost model: the analytic
-    /// stage followed by the snapshot DES stage.
+    /// Costs one churned placement under per-task mappings (`maps`,
+    /// aligned with `graphs`): the analytic stage followed by the snapshot
+    /// DES stage. `tag` names the dataflow in the report.
     fn report_from_outcome(
         &self,
         wl: &Workload,
         graphs: &[SegmentGraph],
         outcome: &ChurnOutcome,
-        model: &CostModel<'_>,
+        maps: &[&ModelMapping],
+        tag: &str,
         scratch: &mut SweepScratch,
     ) -> WorkloadReport {
-        let mut rep = self.analytic_report(wl, graphs, outcome, model, scratch);
+        let mut rep = self.analytic_report(wl, graphs, outcome, maps, tag, scratch);
         self.replay_snapshots(outcome, scratch, &mut rep);
         rep
     }
@@ -607,7 +624,8 @@ impl Platform25D {
         wl: &Workload,
         graphs: &[SegmentGraph],
         outcome: &ChurnOutcome,
-        model: &CostModel<'_>,
+        maps: &[&ModelMapping],
+        tag: &str,
         scratch: &mut SweepScratch,
     ) -> WorkloadReport {
         // Per-task flows, built once into the scratch lists (inner
@@ -625,24 +643,14 @@ impl Platform25D {
                 .push(scratch.spare_flows.pop().unwrap_or_default());
         }
         for (i, tp) in outcome.placements.iter().enumerate() {
-            match model {
-                CostModel::Mode(df) => transfers_for_batch_into(
-                    tp,
-                    &graphs[tp.task.index()],
-                    self.cfg.activation_bytes,
-                    *df,
-                    self.cfg.batch as u64,
-                    &mut scratch.transfers,
-                ),
-                CostModel::Mapped(maps) => transfers_for_batch_mapped_into(
-                    tp,
-                    &graphs[tp.task.index()],
-                    self.cfg.activation_bytes,
-                    &maps[tp.task.index()],
-                    self.cfg.batch as u64,
-                    &mut scratch.transfers,
-                ),
-            };
+            transfers_for_batch_mapped_into(
+                tp,
+                &graphs[tp.task.index()],
+                self.cfg.activation_bytes,
+                maps[tp.task.index()],
+                self.cfg.batch as u64,
+                &mut scratch.transfers,
+            );
             let tf = &mut scratch.task_flows[i];
             tf.clear();
             tf.extend(
@@ -707,16 +715,8 @@ impl Platform25D {
         let mut compute_energy_pj = 0.0;
         let mut compute_latency_ns = 0.0;
         for tp in &outcome.placements {
-            let mc = match model {
-                CostModel::Mode(df) => {
-                    pim::model_cost_with(&graphs[tp.task.index()], &self.cfg.pim, *df)
-                }
-                CostModel::Mapped(maps) => pim::model_cost_mapped(
-                    &graphs[tp.task.index()],
-                    &self.cfg.pim,
-                    &maps[tp.task.index()],
-                ),
-            };
+            let ti = tp.task.index();
+            let mc = pim::model_cost_mapped(&graphs[ti], &self.cfg.pim, maps[ti]);
             compute_energy_pj += mc.energy_pj;
             compute_latency_ns += mc.latency_ns;
         }
@@ -724,7 +724,7 @@ impl Platform25D {
         WorkloadReport {
             arch: self.arch.name().to_string(),
             workload: wl.name.clone(),
-            dataflow: model.tag().to_string(),
+            dataflow: tag.to_string(),
             departures: outcome.departures,
             mean_utilization: outcome.mean_utilization,
             mapped_tasks: outcome.placements.len(),
@@ -899,7 +899,11 @@ mod tests {
         let cfg = SystemConfig::datacenter_25d();
         let p = Platform25D::new(NoiArch::Floret { lambda: 6 }, &cfg).unwrap();
         let wl = small_workload();
-        let mut reports = p.run_workload_dataflows(&wl, &Dataflow::all_with_searched());
+        let mut reports = p.run_workload_dataflows_scratch(
+            &wl,
+            &Dataflow::all_with_searched(),
+            &mut SweepScratch::new(),
+        );
         let srch = reports.pop().expect("searched rides last on the axis");
         assert_eq!(srch.dataflow, "SRCH");
         for hand in &reports {
@@ -936,10 +940,10 @@ mod tests {
         let graphs = Platform25D::task_graphs(&wl);
         let outcome = p.churn_outcome_from_graphs(&graphs);
         let mut scratch = SweepScratch::new();
-        for maps in p.searched_candidates(&graphs) {
-            let model = CostModel::Mapped(&maps);
-            let full = p.report_from_outcome(&wl, &graphs, &outcome, &model, &mut scratch);
-            let analytic = p.analytic_report(&wl, &graphs, &outcome, &model, &mut scratch);
+        for cand in p.searched_candidates(&graphs) {
+            let maps = cand.per_task();
+            let full = p.report_from_outcome(&wl, &graphs, &outcome, &maps, "SRCH", &mut scratch);
+            let analytic = p.analytic_report(&wl, &graphs, &outcome, &maps, "SRCH", &mut scratch);
             assert!(full.sim_latency_cycles > 0, "the DES stage ran");
             assert_eq!(p.report_edp(&analytic), p.report_edp(&full));
             assert_eq!(

@@ -350,7 +350,7 @@ impl SweepRunner {
     /// through the cache when enabled. Cached reports are replayed
     /// clones; a partial hit reuses the memoized churn mapping and only
     /// costs the missing modes — every path produces reports
-    /// bit-identical to [`Platform25D::run_workload_dataflows`].
+    /// bit-identical to [`Platform25D::run_workload_dataflows_scratch`].
     fn eval_cell(&self, pi: usize, wl: &Workload, dataflows: &[Dataflow]) -> Vec<WorkloadReport> {
         let platform = &self.platforms[pi];
         let mut scratch = self.scratch.take();
@@ -514,9 +514,10 @@ impl SweepRunner {
     /// The churned placement is dataflow-independent, so each
     /// (workload, architecture) cell maps once and costs every dataflow
     /// from the shared outcome
-    /// ([`Platform25D::run_workload_dataflows`]) — the reports are still
-    /// bit-identical to per-mode [`Platform25D::run_workload_with`]
-    /// calls, just without redundant mapping work.
+    /// ([`Platform25D::run_workload_dataflows_scratch`]) — the reports
+    /// are still bit-identical to per-mode
+    /// [`Platform25D::run_workload_with`] calls, just without redundant
+    /// mapping work.
     pub fn run_workloads_dataflows(
         &self,
         workloads: &[Workload],

@@ -151,8 +151,9 @@ impl LevelTiling {
     }
 }
 
-/// How a mapping's outermost (NoI) level moves tensors between chiplets —
-/// the discrete policy [`crate::Dataflow`] used to select by enum match.
+/// How a mapping's outermost (NoI) level moves tensors between chiplets
+/// ([`Mapping::noi_policy`]); each hand [`crate::Dataflow`] preset
+/// applies one policy to every segment.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum NoiPolicy {
     /// Spatially-tiled activation shipping (the seed scheme; WS).
@@ -495,28 +496,6 @@ impl Mapping {
         h.write_u64(self.profile.psum_writes_per_mac.to_bits());
         h.write_u64(self.profile.weight_feeds_per_mac.to_bits());
         h.finish()
-    }
-}
-
-impl Dataflow {
-    /// The NoI movement policy of this mode's preset mapping — what the
-    /// transfer expansion used to select by matching on the enum.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`Dataflow::Searched`]: the policy then depends on the
-    /// resolved per-segment mapping ([`Mapping::noi_policy`]).
-    pub fn noi_policy(self) -> NoiPolicy {
-        match self {
-            Dataflow::WeightStationary => NoiPolicy::Tiled,
-            Dataflow::OutputStationary => NoiPolicy::StageOncePerBatch,
-            Dataflow::InputStationary => NoiPolicy::StagePerFrame,
-            Dataflow::FusedLayer => NoiPolicy::FusedHalo,
-            Dataflow::Searched => panic!(
-                "Dataflow::Searched has no single NoI policy; resolve it to a \
-                 dnn::mapping::ModelMapping via mapper::search first"
-            ),
-        }
     }
 }
 

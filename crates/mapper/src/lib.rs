@@ -5,8 +5,8 @@
 //! chiplets along the space-filling curve ([`map_task_sfc`]), the greedy
 //! nearest-hop baseline used for mesh/Kite/SWAP ([`map_task_greedy`]),
 //! the queue-based multi-wave scheduler ([`run_queue`]) and the expansion
-//! of placements into inter-chiplet transfers ([`wave_transfers`]) that
-//! the `netsim` crate replays.
+//! of placements into inter-chiplet transfers
+//! ([`transfers_for_batch_mapped_into`]) that the `netsim` crate replays.
 //!
 //! # Examples
 //!
@@ -45,7 +45,5 @@ pub use scheduler::{
 pub use search::{search_model, MappingProblem, SearchOptions, SearchOutcome};
 pub use sfc::{contiguity_score, map_task_sfc, sfc_order};
 pub use transfers::{
-    placement_transfers, transfers_for, transfers_for_batch, transfers_for_batch_into,
-    transfers_for_batch_mapped, transfers_for_batch_mapped_into, transfers_for_mapped,
-    wave_transfers, wave_transfers_for, Transfer,
+    placement_transfers, transfers_for_batch_into, transfers_for_batch_mapped_into, Transfer,
 };

@@ -5,9 +5,9 @@
 //! tiles: which operand stays resident in the PIM banks — its
 //! [`NoiPolicy`] — decides whether activation slices, staged weight
 //! tiles, or only fused-pipeline halo bands cross the NoI.
-//! [`transfers_for_batch_mapped`] expands a per-segment
-//! [`ModelMapping`]; the [`Dataflow`] entry points ([`transfers_for`])
-//! are façades that apply the mode's uniform preset policy;
+//! [`transfers_for_batch_mapped_into`] expands a per-segment
+//! [`ModelMapping`]; [`transfers_for_batch_into`] expands a hand
+//! [`Dataflow`] as its uniform preset mapping, and
 //! [`placement_transfers`] is the weight-stationary (seed) baseline.
 
 use dnn::{Dataflow, ModelMapping, NoiPolicy, SegmentEdge, SegmentGraph};
@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 use topology::NodeId;
 
 use crate::placement::{TaskId, TaskPlacement};
-use crate::scheduler::Wave;
 
 /// One aggregated point-to-point transfer per inference pass.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -25,8 +24,8 @@ pub struct Transfer {
     /// Destination chiplet.
     pub dst: NodeId,
     /// Payload bytes over the expanded window: one inference for
-    /// [`transfers_for`]/[`placement_transfers`], the whole batch for
-    /// [`transfers_for_batch`].
+    /// [`placement_transfers`], the whole batch for
+    /// [`transfers_for_batch_mapped_into`].
     pub bytes: u64,
     /// Owning task (for per-task accounting).
     pub task: TaskId,
@@ -81,41 +80,15 @@ fn for_each_aligned_pair<F: FnMut(NodeId, NodeId, f64)>(
     }
 }
 
-/// Where an expansion takes each edge's NoI policy from: one uniform
-/// policy (the [`Dataflow`] façade) or the consumer segment's resolved
-/// mapping.
-enum Policies<'a> {
-    /// Every edge uses the same policy.
-    Uniform(NoiPolicy),
-    /// `per_segment[dst.index()]` decides each edge (the consumer's
-    /// mapping owns the edge: its residency is what gets staged).
-    PerSegment(&'a [NoiPolicy]),
-}
-
-impl Policies<'_> {
-    fn for_dst(&self, dst_index: usize) -> NoiPolicy {
-        match self {
-            Policies::Uniform(p) => *p,
-            Policies::PerSegment(ps) => ps[dst_index],
-        }
-    }
-
-    fn any_fused(&self) -> bool {
-        match self {
-            Policies::Uniform(p) => *p == NoiPolicy::FusedHalo,
-            Policies::PerSegment(ps) => ps.contains(&NoiPolicy::FusedHalo),
-        }
-    }
-}
-
 /// One transfer expansion in progress: the placement/graph pair being
-/// expanded and the per-edge NoI policies, element width and batch it
-/// is costed under.
+/// expanded and the mapping, element width and batch it is costed
+/// under. Without a mapping every edge takes the weight-stationary
+/// [`NoiPolicy::Tiled`] path.
 struct Expansion<'a> {
     tp: &'a TaskPlacement,
     sg: &'a SegmentGraph,
     bytes_per_element: u64,
-    policies: Policies<'a>,
+    mapping: Option<&'a ModelMapping>,
     batch: u64,
 }
 
@@ -139,7 +112,7 @@ impl Expansion<'_> {
             tp,
             sg,
             bytes_per_element,
-            ref policies,
+            mapping,
             batch,
         } = *self;
         let src_place = &tp.segments[e.src.index()];
@@ -151,7 +124,9 @@ impl Expansion<'_> {
         let dst_seg = sg.segment(e.dst);
         let weight_bytes = (dst_seg.params * bytes_per_element) as f64;
         let out_bytes = (dst_seg.out_activations * bytes_per_element) as f64;
-        let policy = policies.for_dst(e.dst.index());
+        // The consumer's mapping owns the edge: its residency is what
+        // gets staged.
+        let policy = mapping.map_or(NoiPolicy::Tiled, |m| m.segment(e.dst.index()).noi_policy());
         let mut add = |src: NodeId, dst: NodeId, bytes: u64| {
             if bytes > 0 {
                 out.push(Transfer {
@@ -213,27 +188,40 @@ impl Expansion<'_> {
     }
 }
 
-/// Expands a task placement into the inter-chiplet transfers of one
-/// inference under `dataflow` — [`transfers_for_batch`] with a batch of
-/// one.
-pub fn transfers_for(
+/// Expands a task placement into the inter-chiplet transfers implied by
+/// `dataflow` for `batch` back-to-back inference frames, into a
+/// caller-owned buffer (cleared first): the mode's uniform preset
+/// [`ModelMapping`] through [`transfers_for_batch_mapped_into`].
+///
+/// # Panics
+///
+/// Panics on [`Dataflow::Searched`], which has no preset.
+pub fn transfers_for_batch_into(
     tp: &TaskPlacement,
     sg: &SegmentGraph,
     bytes_per_element: u64,
     dataflow: Dataflow,
-) -> Vec<Transfer> {
-    transfers_for_batch(tp, sg, bytes_per_element, dataflow, 1)
+    batch: u64,
+    out: &mut Vec<Transfer>,
+) {
+    let preset = ModelMapping::preset(dataflow, sg);
+    transfers_for_batch_mapped_into(tp, sg, bytes_per_element, &preset, batch, out);
 }
 
 /// Expands a task placement into the inter-chiplet transfers implied by
-/// `dataflow` for `batch` back-to-back inference frames (see
+/// a per-segment [`ModelMapping`] for `batch` back-to-back frames, into a
+/// caller-owned buffer (cleared first).
+///
+/// Each edge follows the NoI policy of its *consumer* segment's mapping
+/// ([`dnn::Mapping::noi_policy`]) — the consumer's operand residency is
+/// what decides which tensor gets staged across the edge (see
 /// [`Dataflow`] for the per-mode movement accounting).
 ///
-/// Batching matters to the dataflow: output-stationary stages a weight
+/// Batching matters to the mapping: output-stationary stages a weight
 /// tile *once* for the whole batch, so re-stationing can win at batch
 /// granularity where it loses per frame. Re-stationing applies per
 /// aligned share pair and only where the staged tensors are strictly
-/// smaller than the batch's activation slices, so for every mode and
+/// smaller than the batch's activation slices, so for every mapping and
 /// every batch the total bytes never exceed the weight-stationary
 /// baseline (the seed tiled scheme of [`placement_transfers`] scaled by
 /// `batch`).
@@ -243,78 +231,6 @@ pub fn transfers_for(
 /// off-chip I/O, not across the NoI). Same `(src, dst)` pairs are merged
 /// into one transfer, so the emitted order is sorted by `(src, dst)` and
 /// independent of the edge iteration order.
-pub fn transfers_for_batch(
-    tp: &TaskPlacement,
-    sg: &SegmentGraph,
-    bytes_per_element: u64,
-    dataflow: Dataflow,
-    batch: u64,
-) -> Vec<Transfer> {
-    let mut out = Vec::new();
-    transfers_for_batch_into(tp, sg, bytes_per_element, dataflow, batch, &mut out);
-    out
-}
-
-/// [`transfers_for_batch`] into a caller-owned buffer (cleared first),
-/// so sweep scratch reuse skips the per-task output allocation.
-pub fn transfers_for_batch_into(
-    tp: &TaskPlacement,
-    sg: &SegmentGraph,
-    bytes_per_element: u64,
-    dataflow: Dataflow,
-    batch: u64,
-    out: &mut Vec<Transfer>,
-) {
-    expand_into(
-        tp,
-        sg,
-        bytes_per_element,
-        Policies::Uniform(dataflow.noi_policy()),
-        batch,
-        out,
-    );
-}
-
-/// Expands a task placement under a resolved per-segment
-/// [`ModelMapping`] for one inference frame —
-/// [`transfers_for_batch_mapped`] with a batch of one.
-pub fn transfers_for_mapped(
-    tp: &TaskPlacement,
-    sg: &SegmentGraph,
-    bytes_per_element: u64,
-    mapping: &ModelMapping,
-) -> Vec<Transfer> {
-    transfers_for_batch_mapped(tp, sg, bytes_per_element, mapping, 1)
-}
-
-/// Expands a task placement into the inter-chiplet transfers implied by
-/// a resolved per-segment [`ModelMapping`] for `batch` back-to-back
-/// frames.
-///
-/// Each edge follows the NoI policy of its *consumer* segment's mapping
-/// ([`dnn::Mapping::noi_policy`]) — the consumer's operand residency is
-/// what decides which tensor gets staged across the edge. A uniform
-/// preset mapping is therefore byte-identical to [`transfers_for_batch`]
-/// on the matching [`Dataflow`]. Ordering and merge semantics are the
-/// same as [`transfers_for_batch`].
-///
-/// # Panics
-///
-/// Panics when `mapping` was built for a different segment count.
-pub fn transfers_for_batch_mapped(
-    tp: &TaskPlacement,
-    sg: &SegmentGraph,
-    bytes_per_element: u64,
-    mapping: &ModelMapping,
-    batch: u64,
-) -> Vec<Transfer> {
-    let mut out = Vec::new();
-    transfers_for_batch_mapped_into(tp, sg, bytes_per_element, mapping, batch, &mut out);
-    out
-}
-
-/// [`transfers_for_batch_mapped`] into a caller-owned buffer (cleared
-/// first).
 ///
 /// # Panics
 ///
@@ -333,30 +249,22 @@ pub fn transfers_for_batch_mapped_into(
         "mapping/segment count mismatch for {}",
         sg.name()
     );
-    let policies: Vec<NoiPolicy> = mapping.mappings().iter().map(|m| m.noi_policy()).collect();
-    expand_into(
-        tp,
-        sg,
-        bytes_per_element,
-        Policies::PerSegment(&policies),
-        batch,
-        out,
-    );
+    expand_into(tp, sg, bytes_per_element, Some(mapping), batch, out);
 }
 
-/// The shared expansion loop behind the enum and mapping entry points,
-/// writing into a caller-owned buffer (cleared first). Raw records are
-/// appended, then sorted by `(src, dst)` and merged in place, so a warm
-/// buffer expands without allocating.
+/// The shared expansion loop, writing into a caller-owned buffer
+/// (cleared first). Raw records are appended, then sorted by
+/// `(src, dst)` and merged in place, so a warm buffer expands without
+/// allocating.
 fn expand_into(
     tp: &TaskPlacement,
     sg: &SegmentGraph,
     bytes_per_element: u64,
-    policies: Policies<'_>,
+    mapping: Option<&ModelMapping>,
     batch: u64,
     out: &mut Vec<Transfer>,
 ) {
-    let fusible = if policies.any_fused() {
+    let fusible = if mapping.is_some_and(|m| m.mappings().iter().any(|s| s.fused)) {
         sg.fusible_edges()
     } else {
         Vec::new()
@@ -365,7 +273,7 @@ fn expand_into(
         tp,
         sg,
         bytes_per_element,
-        policies,
+        mapping,
         batch,
     };
     out.clear();
@@ -390,43 +298,20 @@ fn merge_pairs(out: &mut Vec<Transfer>) {
     });
 }
 
-/// Expands a task placement under the weight-stationary (seed) scheme:
-/// every segment edge becomes one fixed spatially-tiled activation split
-/// between the aligned chiplet shares of each side.
-///
-/// Equivalent to [`transfers_for`] with
-/// [`Dataflow::WeightStationary`] — pinned byte-identical to the
-/// pre-dataflow behaviour by the `dataflow_props` suite.
+/// Expands a task placement for one inference under the
+/// weight-stationary (seed) scheme: every segment edge becomes one fixed
+/// spatially-tiled activation split between the aligned chiplet shares
+/// of each side — the WS preset's [`NoiPolicy::Tiled`] on every edge,
+/// without building the preset (the 3D optimizer calls this per
+/// candidate placement).
 pub fn placement_transfers(
     tp: &TaskPlacement,
     sg: &SegmentGraph,
     bytes_per_element: u64,
 ) -> Vec<Transfer> {
-    transfers_for(tp, sg, bytes_per_element, Dataflow::WeightStationary)
-}
-
-/// Expands every placement of a wave under `dataflow`;
-/// `graphs[task.index()]` must be the segment graph the task was mapped
-/// from.
-pub fn wave_transfers_for(
-    wave: &Wave,
-    graphs: &[SegmentGraph],
-    bytes_per_element: u64,
-    dataflow: Dataflow,
-) -> Vec<Transfer> {
-    wave.placements
-        .iter()
-        .flat_map(|tp| transfers_for(tp, &graphs[tp.task.index()], bytes_per_element, dataflow))
-        .collect()
-}
-
-/// [`wave_transfers_for`] under the weight-stationary baseline.
-pub fn wave_transfers(
-    wave: &Wave,
-    graphs: &[SegmentGraph],
-    bytes_per_element: u64,
-) -> Vec<Transfer> {
-    wave_transfers_for(wave, graphs, bytes_per_element, Dataflow::WeightStationary)
+    let mut out = Vec::new();
+    expand_into(tp, sg, bytes_per_element, None, 1, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -461,6 +346,32 @@ mod tests {
         ts.iter().map(|t| t.bytes).sum()
     }
 
+    /// [`transfers_for_batch_into`] into a fresh buffer.
+    fn expand_mode(
+        tp: &TaskPlacement,
+        sg: &SegmentGraph,
+        bytes_per_element: u64,
+        df: Dataflow,
+        batch: u64,
+    ) -> Vec<Transfer> {
+        let mut out = Vec::new();
+        transfers_for_batch_into(tp, sg, bytes_per_element, df, batch, &mut out);
+        out
+    }
+
+    /// [`transfers_for_batch_mapped_into`] into a fresh buffer.
+    fn expand_mapped(
+        tp: &TaskPlacement,
+        sg: &SegmentGraph,
+        bytes_per_element: u64,
+        mapping: &ModelMapping,
+        batch: u64,
+    ) -> Vec<Transfer> {
+        let mut out = Vec::new();
+        transfers_for_batch_mapped_into(tp, sg, bytes_per_element, mapping, batch, &mut out);
+        out
+    }
+
     #[test]
     fn transfers_exist_for_multi_chiplet_tasks() {
         let (tp, sg) = mapped_resnet18(1_000_000);
@@ -476,7 +387,7 @@ mod tests {
         let (tp, sg) = mapped_resnet18(20_000_000);
         assert_eq!(tp.used_nodes().len(), 1);
         for df in Dataflow::all() {
-            assert!(transfers_for(&tp, &sg, 1, df).is_empty(), "{df}");
+            assert!(expand_mode(&tp, &sg, 1, df, 1).is_empty(), "{df}");
         }
     }
 
@@ -504,7 +415,7 @@ mod tests {
     fn transfers_are_deduplicated() {
         let (tp, sg) = mapped_resnet18(1_000_000);
         for df in Dataflow::all() {
-            let ts = transfers_for(&tp, &sg, 1, df);
+            let ts = expand_mode(&tp, &sg, 1, df, 1);
             let mut pairs: Vec<(NodeId, NodeId)> = ts.iter().map(|t| (t.src, t.dst)).collect();
             let len = pairs.len();
             pairs.sort_unstable();
@@ -522,11 +433,12 @@ mod tests {
         let (tp, sg) = mapped_resnet18(1_000_000);
         for df in Dataflow::all() {
             let fusible = sg.fusible_edges();
+            let preset = ModelMapping::preset(df, &sg);
             let exp = Expansion {
                 tp: &tp,
                 sg: &sg,
                 bytes_per_element: 2,
-                policies: Policies::Uniform(df.noi_policy()),
+                mapping: Some(&preset),
                 batch: 3,
             };
             let (mut fwd, mut rev) = (Vec::new(), Vec::new());
@@ -551,15 +463,9 @@ mod tests {
     fn every_mode_is_bounded_by_weight_stationary() {
         let (tp, sg) = mapped_resnet18(1_000_000);
         for batch in [1, 8] {
-            let ws = total(&transfers_for_batch(
-                &tp,
-                &sg,
-                1,
-                Dataflow::WeightStationary,
-                batch,
-            ));
+            let ws = total(&expand_mode(&tp, &sg, 1, Dataflow::WeightStationary, batch));
             for df in Dataflow::all() {
-                let t = total(&transfers_for_batch(&tp, &sg, 1, df, batch));
+                let t = total(&expand_mode(&tp, &sg, 1, df, batch));
                 assert!(t <= ws, "{df} batch {batch}: {t} > WS {ws}");
             }
         }
@@ -572,30 +478,10 @@ mod tests {
         // multiplied by before batching moved into the expansion).
         let (tp, sg) = mapped_resnet18(1_000_000);
         let per_frame = placement_transfers(&tp, &sg, 4);
-        let batched = transfers_for_batch(&tp, &sg, 4, Dataflow::WeightStationary, 8);
+        let batched = expand_mode(&tp, &sg, 4, Dataflow::WeightStationary, 8);
         assert_eq!(per_frame.len(), batched.len());
         for (f, b) in per_frame.iter().zip(&batched) {
             assert_eq!((f.src, f.dst, f.bytes * 8), (b.src, b.dst, b.bytes));
-        }
-    }
-
-    #[test]
-    fn uniform_preset_mappings_expand_byte_identically_to_the_enum() {
-        // The policy-based expansion subsumes the enum match: a uniform
-        // preset ModelMapping must reproduce the mode's transfer list
-        // exactly — same pairs, same order, same rounding.
-        for (tp, sg) in [mapped_resnet18(1_000_000), mapped_vgg11(1_000_000)] {
-            for df in Dataflow::all() {
-                let mm = dnn::ModelMapping::preset(df, &sg);
-                for batch in [1, 8] {
-                    assert_eq!(
-                        transfers_for_batch(&tp, &sg, 2, df, batch),
-                        transfers_for_batch_mapped(&tp, &sg, 2, &mm, batch),
-                        "{} {df} batch {batch}",
-                        sg.name()
-                    );
-                }
-            }
         }
     }
 
@@ -613,15 +499,9 @@ mod tests {
         let mid = sg.segment_count() / 2;
         per_seg[mid] = dnn::Mapping::output_stationary(&sg.segments()[mid]);
         let mixed = dnn::ModelMapping::from_mappings(&sg, "mixed", per_seg);
-        let got = total(&transfers_for_batch_mapped(&tp, &sg, 1, &mixed, 8));
-        let ws = total(&transfers_for_batch(
-            &tp,
-            &sg,
-            1,
-            Dataflow::WeightStationary,
-            8,
-        ));
-        let fl = total(&transfers_for_batch(&tp, &sg, 1, Dataflow::FusedLayer, 8));
+        let got = total(&expand_mapped(&tp, &sg, 1, &mixed, 8));
+        let ws = total(&expand_mode(&tp, &sg, 1, Dataflow::WeightStationary, 8));
+        let fl = total(&expand_mode(&tp, &sg, 1, Dataflow::FusedLayer, 8));
         assert!(got <= ws, "mixed {got} > WS {ws}");
         assert_ne!(got, fl, "re-stationing one segment must show up");
     }
@@ -632,7 +512,7 @@ mod tests {
         // only the halo bands, cutting the traffic by ~8x.
         let (tp, sg) = mapped_vgg11(1_000_000);
         let ws = total(&placement_transfers(&tp, &sg, 1));
-        let fl = total(&transfers_for(&tp, &sg, 1, Dataflow::FusedLayer));
+        let fl = total(&expand_mode(&tp, &sg, 1, Dataflow::FusedLayer, 1));
         assert!(fl > 0);
         assert!(
             (fl as f64) < 0.2 * ws as f64,
@@ -668,27 +548,9 @@ mod tests {
             segments,
         };
         let batch = 8;
-        let ws = total(&transfers_for_batch(
-            &tp,
-            &sg,
-            1,
-            Dataflow::WeightStationary,
-            batch,
-        ));
-        let os = total(&transfers_for_batch(
-            &tp,
-            &sg,
-            1,
-            Dataflow::OutputStationary,
-            batch,
-        ));
-        let is = total(&transfers_for_batch(
-            &tp,
-            &sg,
-            1,
-            Dataflow::InputStationary,
-            batch,
-        ));
+        let ws = total(&expand_mode(&tp, &sg, 1, Dataflow::WeightStationary, batch));
+        let os = total(&expand_mode(&tp, &sg, 1, Dataflow::OutputStationary, batch));
+        let is = total(&expand_mode(&tp, &sg, 1, Dataflow::InputStationary, batch));
         assert!(os < ws, "OS {os} must beat WS {ws} on stride-2 edges");
         // IS re-stages the weight tile every frame, so it never beats OS.
         assert!(os <= is, "OS {os} vs IS {is}");

@@ -2,7 +2,8 @@
 //!
 //! Two contracts are pinned on random conv stacks and random placements:
 //!
-//! 1. `transfers_for(.., WeightStationary)` is byte-identical to the
+//! 1. the weight-stationary expansion (`placement_transfers`, and
+//!    `transfers_for_batch_into` at batch 1) is byte-identical to the
 //!    pre-refactor behaviour, reproduced below as a test-only copy of
 //!    the seed's fixed spatially-tiled loop;
 //! 2. every dataflow mode conserves or strictly reduces the total
@@ -14,8 +15,8 @@ use std::collections::BTreeMap;
 
 use dnn::{Dataflow, Dataset, GraphBuilder, SegmentGraph};
 use mapper::{
-    transfers_for, transfers_for_batch, NodeShare, SegmentPlacement, TaskId, TaskPlacement,
-    Transfer,
+    placement_transfers, transfers_for_batch_into, NodeShare, SegmentPlacement, TaskId,
+    TaskPlacement, Transfer,
 };
 use proptest::prelude::*;
 use topology::NodeId;
@@ -138,6 +139,19 @@ fn total(ts: &[Transfer]) -> u64 {
     ts.iter().map(|t| t.bytes).sum()
 }
 
+/// [`transfers_for_batch_into`] into a fresh buffer.
+fn expand(
+    tp: &TaskPlacement,
+    sg: &SegmentGraph,
+    bytes_per_element: u64,
+    df: Dataflow,
+    batch: u64,
+) -> Vec<Transfer> {
+    let mut out = Vec::new();
+    transfers_for_batch_into(tp, sg, bytes_per_element, df, batch, &mut out);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -153,7 +167,8 @@ proptest! {
         let sg = random_graph(&widths, with_pool);
         let tp = random_placement(&sg, &seeds);
         let seed = seed_tiled_transfers(&tp, &sg, bpe);
-        let ws = transfers_for(&tp, &sg, bpe, Dataflow::WeightStationary);
+        prop_assert_eq!(&placement_transfers(&tp, &sg, bpe), &seed);
+        let ws = expand(&tp, &sg, bpe, Dataflow::WeightStationary, 1);
         prop_assert_eq!(ws, seed);
     }
 
@@ -173,11 +188,11 @@ proptest! {
         let tp = random_placement(&sg, &seeds);
         let ws_total = total(&seed_tiled_transfers(&tp, &sg, bpe)) * batch;
         prop_assert_eq!(
-            total(&transfers_for_batch(&tp, &sg, bpe, Dataflow::WeightStationary, batch)),
+            total(&expand(&tp, &sg, bpe, Dataflow::WeightStationary, batch)),
             ws_total
         );
         for df in Dataflow::all() {
-            let t = total(&transfers_for_batch(&tp, &sg, bpe, df, batch));
+            let t = total(&expand(&tp, &sg, bpe, df, batch));
             prop_assert!(
                 t <= ws_total,
                 "{df} batch {batch} moved {t} bytes > seed {ws_total}"
@@ -210,7 +225,7 @@ proptest! {
             segments,
         };
         let ws_total = total(&seed_tiled_transfers(&tp, &sg, 1));
-        let fl_total = total(&transfers_for(&tp, &sg, 1, Dataflow::FusedLayer));
+        let fl_total = total(&expand(&tp, &sg, 1, Dataflow::FusedLayer, 1));
         prop_assert!(
             fl_total < ws_total,
             "fused {fl_total} vs seed {ws_total}"

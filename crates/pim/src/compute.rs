@@ -4,9 +4,9 @@
 //! The core is mapping-based ([`segment_cost_mapped`]): a
 //! [`dnn::mapping::Mapping`] folds its per-level access counts × level
 //! energies into per-MAC energy and latency multipliers, and the cost
-//! model applies them. The [`Dataflow`] entry points are thin façades
-//! that cost the mode's preset mapping — byte-identical to the legacy
-//! enum factors because the presets snap to the same literals.
+//! model applies them. [`model_cost_with`] costs a hand [`Dataflow`] as
+//! its uniform preset [`ModelMapping`]; [`segment_cost`] is the
+//! weight-stationary baseline, whose factors are exactly one.
 
 use dnn::{Dataflow, Mapping, ModelMapping, Segment, SegmentGraph};
 use serde::{Deserialize, Serialize};
@@ -29,51 +29,31 @@ pub struct SegmentCost {
 }
 
 /// Evaluates the PIM compute cost of a segment under `cfg` and the
-/// weight-stationary baseline dataflow.
-///
-/// Equivalent to [`segment_cost_with`] with
-/// [`Dataflow::WeightStationary`], whose unit energy/latency factors
-/// leave this bit-identical to the pre-dataflow cost model.
+/// weight-stationary baseline: [`segment_cost_mapped`] under the WS
+/// preset, whose unit energy/latency factors leave this bit-identical to
+/// the pre-dataflow cost model. Applies the factors directly instead of
+/// building the preset, because the 3D optimizer calls this per
+/// candidate placement.
 pub fn segment_cost(seg: &Segment, cfg: &PimConfig) -> SegmentCost {
-    segment_cost_with(seg, cfg, Dataflow::WeightStationary)
+    segment_cost_factors(seg, cfg, 1.0, 1.0)
 }
 
-/// Evaluates the PIM compute cost of a segment under `cfg` and `dataflow`.
+/// Evaluates the PIM compute cost of a segment under `cfg` and a
+/// resolved loop-nest `mapping`.
 ///
 /// Latency model: the `out_spatial = macs / params` input vectors of a
 /// conv (1 for fc) are streamed bit-serially; row tiles of the weight
 /// matrix operate in parallel, column tiles in parallel, so one input
 /// vector costs `activation_bits * read_ns`. Vectors are pipelined but the
 /// crossbar is occupied for each, so latency scales with the MVM count.
-/// The dataflow's [`Dataflow::latency_factor`] scales the result
-/// (input-stationary stalls the crossbar while weight tiles re-stage).
+/// The mapping's weight re-staging stall ([`Mapping::latency_factor`])
+/// scales the result.
 ///
-/// Energy model: `e_mac_pj` per MAC — scaled by the dataflow's buffer
-/// residency through [`Dataflow::mac_energy_factor`], since which operand
-/// stays in the bank registers changes the buffer reads/writes behind
-/// each MAC — plus static power over the latency.
-///
-/// # Panics
-///
-/// Panics on [`Dataflow::Searched`] (no fixed factors) — resolve it to
-/// a [`Mapping`] and use [`segment_cost_mapped`].
-pub fn segment_cost_with(seg: &Segment, cfg: &PimConfig, dataflow: Dataflow) -> SegmentCost {
-    segment_cost_factors(
-        seg,
-        cfg,
-        dataflow.mac_energy_factor(),
-        dataflow.latency_factor(),
-    )
-}
-
-/// Evaluates the PIM compute cost of a segment under `cfg` and a
-/// resolved loop-nest `mapping`.
-///
-/// The mapping's folded per-level access-count × access-energy product
-/// ([`Mapping::energy_factor`]) scales the per-MAC energy; its weight
-/// re-staging stall ([`Mapping::latency_factor`]) scales the latency.
-/// For the four preset mappings this is byte-identical to
-/// [`segment_cost_with`] on the matching [`Dataflow`].
+/// Energy model: `e_mac_pj` per MAC — scaled by the mapping's folded
+/// per-level access-count × access-energy product
+/// ([`Mapping::energy_factor`]), since which operand stays in the bank
+/// registers changes the buffer reads/writes behind each MAC — plus
+/// static power over the latency.
 pub fn segment_cost_mapped(seg: &Segment, cfg: &PimConfig, mapping: &Mapping) -> SegmentCost {
     segment_cost_factors(seg, cfg, mapping.energy_factor(), mapping.latency_factor())
 }
@@ -136,33 +116,16 @@ pub struct ModelComputeCost {
     pub energy_pj: f64,
 }
 
-/// Aggregates [`segment_cost`] over an entire segment graph
-/// (weight-stationary baseline).
-pub fn model_cost(sg: &SegmentGraph, cfg: &PimConfig) -> ModelComputeCost {
-    model_cost_with(sg, cfg, Dataflow::WeightStationary)
-}
-
-/// Aggregates [`segment_cost_with`] over an entire segment graph.
+/// Aggregates the compute cost of a hand `dataflow` over an entire
+/// segment graph: [`model_cost_mapped`] under the mode's uniform preset
+/// [`ModelMapping`].
 ///
 /// # Panics
 ///
 /// Panics on [`Dataflow::Searched`] — use [`model_cost_mapped`] with a
 /// resolved [`ModelMapping`] instead.
 pub fn model_cost_with(sg: &SegmentGraph, cfg: &PimConfig, dataflow: Dataflow) -> ModelComputeCost {
-    let mut total_nodes = 0;
-    let mut latency_ns = 0.0;
-    let mut energy_pj = 0.0;
-    for seg in sg.segments() {
-        let c = segment_cost_with(seg, cfg, dataflow);
-        total_nodes += c.nodes;
-        latency_ns += c.latency_ns;
-        energy_pj += c.energy_pj;
-    }
-    ModelComputeCost {
-        total_nodes,
-        latency_ns,
-        energy_pj,
-    }
+    model_cost_mapped(sg, cfg, &ModelMapping::preset(dataflow, sg))
 }
 
 /// Aggregates [`segment_cost_mapped`] over an entire segment graph under
@@ -257,7 +220,7 @@ mod tests {
     fn resnet18_fits_dozens_of_chiplets() {
         // 11.7M weights over ~390k weights/chiplet -> tens of chiplets.
         let sg = resnet18_segments();
-        let mc = model_cost(&sg, &PimConfig::default());
+        let mc = model_cost_with(&sg, &PimConfig::default(), Dataflow::WeightStationary);
         assert!(
             (20..=80).contains(&mc.total_nodes),
             "resnet18 nodes = {}",
@@ -294,29 +257,37 @@ mod tests {
 
     #[test]
     fn weight_stationary_matches_the_seed_cost() {
-        // The baseline mode multiplies by exactly 1.0, so the dataflow
-        // refactor cannot perturb any pre-existing number.
+        // The WS preset multiplies by exactly 1.0, so the unit-factor
+        // entry point and the model aggregate both equal the preset
+        // mapping's cost: the mapping refactor cannot perturb any
+        // pre-existing number.
         let sg = resnet18_segments();
         let cfg = PimConfig::default();
+        let mut sum = ModelComputeCost {
+            total_nodes: 0,
+            latency_ns: 0.0,
+            energy_pj: 0.0,
+        };
         for seg in sg.segments() {
+            let c = segment_cost(seg, &cfg);
             assert_eq!(
-                segment_cost(seg, &cfg),
-                segment_cost_with(seg, &cfg, Dataflow::WeightStationary),
+                c,
+                segment_cost_mapped(seg, &cfg, &Mapping::weight_stationary(seg)),
                 "{}",
                 seg.name
             );
+            sum.total_nodes += c.nodes;
+            sum.latency_ns += c.latency_ns;
+            sum.energy_pj += c.energy_pj;
         }
-        assert_eq!(
-            model_cost(&sg, &cfg),
-            model_cost_with(&sg, &cfg, Dataflow::WeightStationary)
-        );
+        assert_eq!(model_cost_with(&sg, &cfg, Dataflow::WeightStationary), sum);
     }
 
     #[test]
     fn stationary_modes_trade_energy_and_latency() {
         let sg = resnet18_segments();
         let cfg = PimConfig::default();
-        let ws = model_cost(&sg, &cfg);
+        let ws = model_cost_with(&sg, &cfg, Dataflow::WeightStationary);
         for df in Dataflow::all() {
             let c = model_cost_with(&sg, &cfg, df);
             assert_eq!(
@@ -342,37 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn preset_mappings_cost_byte_identically_to_the_enum_on_the_whole_zoo() {
-        // The mapping engine subsumes the enum: for every Table I model
-        // and every hand mode, costing the preset mapping is the same
-        // doubles as costing the enum — WS therefore stays byte-identical
-        // to the seed cost model through the refactor.
-        let cfg = PimConfig::default();
-        for entry in dnn::table1() {
-            let g = build_model(entry.kind, entry.dataset).unwrap();
-            let sg = SegmentGraph::from_layer_graph(&g);
-            for df in Dataflow::all() {
-                let mm = dnn::ModelMapping::preset(df, &sg);
-                assert_eq!(
-                    model_cost_with(&sg, &cfg, df),
-                    model_cost_mapped(&sg, &cfg, &mm),
-                    "{} {df}",
-                    sg.name()
-                );
-                for (idx, seg) in sg.segments().iter().enumerate() {
-                    assert_eq!(
-                        segment_cost_with(seg, &cfg, df),
-                        segment_cost_mapped(seg, &cfg, mm.segment(idx)),
-                        "{} {df} {}",
-                        sg.name(),
-                        seg.name
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn derived_mappings_open_cost_points_the_enum_cannot_reach() {
         // A deeper reduction tile than the OS preset's t=4 keeps psums
         // resident longer and lands strictly below every hand mode that
@@ -382,7 +322,7 @@ mod tests {
         let seg = &sg.segments()[1];
         let deep = dnn::Mapping::derived(dnn::mapping::Loop::K, 16, false, seg);
         let c = segment_cost_mapped(seg, &cfg, &deep);
-        let os = segment_cost_with(seg, &cfg, Dataflow::OutputStationary);
+        let os = segment_cost_mapped(seg, &cfg, &Mapping::output_stationary(seg));
         assert!(c.energy_pj < os.energy_pj);
         assert_eq!(c.latency_ns, os.latency_ns);
     }

@@ -34,8 +34,7 @@ mod config;
 
 pub use accuracy::{baseline_top1, ThermalNoiseModel};
 pub use compute::{
-    model_cost, model_cost_mapped, model_cost_with, segment_cost, segment_cost_mapped,
-    segment_cost_with, segment_power_per_node_w, segment_power_w, segment_program_cost,
-    ModelComputeCost, SegmentCost,
+    model_cost_mapped, model_cost_with, segment_cost, segment_cost_mapped,
+    segment_power_per_node_w, segment_power_w, segment_program_cost, ModelComputeCost, SegmentCost,
 };
 pub use config::PimConfig;

@@ -13,9 +13,11 @@
 //! grid is two-colored by coordinate parity (every stencil neighbor has
 //! the opposite color), the iteration-invariant conductance sums and
 //! neighbor lists are precomputed once into flat arrays, and each color
-//! is swept reading only the opposite color — so the sweep is
-//! deterministic for *any* worker count and converges in far fewer
-//! iterations than plain Gauss-Seidel thanks to over-relaxation. The
+//! is swept on the calling thread reading only the opposite color — so
+//! it converges in far fewer iterations than plain Gauss-Seidel thanks
+//! to over-relaxation. The grids this crate solves have hundreds of
+//! cells (the paper's 3D stack is 5×5×4), far too few for per-sweep
+//! worker threads to pay off. The
 //! original sequential Gauss-Seidel is kept verbatim as a reference
 //! oracle ([`solve_reference`]) for tests, criterion benches and the
 //! `pim-bench perf` baseline; `PIM_THERMAL_SOLVER=reference` (or
@@ -347,10 +349,6 @@ pub fn set_default_solver(s: Solver) {
 /// tuned: 1.85 balances the two stacks best).
 const SOR_OMEGA: f64 = 1.85;
 
-/// Cells below this count are swept on the calling thread; per-sweep
-/// worker spawning only pays off on grids far larger than the paper's.
-const PAR_THRESHOLD: usize = 16_384;
-
 /// The iteration-invariant part of the stencil, precomputed once per
 /// solve into flat arrays: per-cell conductance sums, the constant
 /// right-hand side (injected power plus the tier-0 sink term), a CSR
@@ -426,8 +424,7 @@ impl Stencil {
 
     /// One cell update: reads only opposite-color neighbors (every
     /// stencil neighbor differs by one in exactly one coordinate, so its
-    /// parity flips) plus the cell's own previous value — which is why a
-    /// color sweep can be chunked across workers without changing a bit.
+    /// parity flips) plus the cell's own previous value.
     #[inline]
     fn relax(&self, temps: &[f64], i: usize) -> f64 {
         let (s, e) = (self.nbr_start[i] as usize, self.nbr_start[i + 1] as usize);
@@ -438,58 +435,18 @@ impl Stencil {
         (1.0 - SOR_OMEGA) * temps[i] + SOR_OMEGA * gt * self.inv_g_sum[i]
     }
 
-    /// Sweeps one color class, returning the largest update. `threads`
-    /// only changes wall-clock time: workers compute disjoint chunks from
-    /// the same pre-sweep state and the results are written back in index
-    /// order, bit-identical to the sequential loop.
-    fn sweep_color(&self, temps: &mut [f64], color: usize, threads: usize) -> f64 {
-        let cells = &self.colors[color];
-        if threads <= 1 || cells.len() < 2 {
-            let mut max_delta = 0.0f64;
-            for &iu in cells {
-                let i = iu as usize;
-                let t = self.relax(temps, i);
-                let delta = (t - temps[i]).abs();
-                if delta > max_delta {
-                    max_delta = delta;
-                }
-                temps[i] = t;
-            }
-            return max_delta;
-        }
-        let chunk = cells.len().div_ceil(threads);
-        let updated: Vec<(f64, Vec<f64>)> = std::thread::scope(|scope| {
-            let shared: &[f64] = temps;
-            let handles: Vec<_> = cells
-                .chunks(chunk)
-                .map(|c| {
-                    scope.spawn(move || {
-                        let mut vals = Vec::with_capacity(c.len());
-                        let mut max_delta = 0.0f64;
-                        for &iu in c {
-                            let i = iu as usize;
-                            let t = self.relax(shared, i);
-                            let delta = (t - shared[i]).abs();
-                            if delta > max_delta {
-                                max_delta = delta;
-                            }
-                            vals.push(t);
-                        }
-                        (max_delta, vals)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("thermal sweep worker panicked"))
-                .collect()
-        });
+    /// Sweeps one color class in index order, returning the largest
+    /// update.
+    fn sweep_color(&self, temps: &mut [f64], color: usize) -> f64 {
         let mut max_delta = 0.0f64;
-        for (c, (d, vals)) in cells.chunks(chunk).zip(&updated) {
-            max_delta = max_delta.max(*d);
-            for (&iu, &t) in c.iter().zip(vals) {
-                temps[iu as usize] = t;
+        for &iu in &self.colors[color] {
+            let i = iu as usize;
+            let t = self.relax(temps, i);
+            let delta = (t - temps[i]).abs();
+            if delta > max_delta {
+                max_delta = delta;
             }
+            temps[i] = t;
         }
         max_delta
     }
@@ -500,7 +457,7 @@ impl Stencil {
 /// [`set_default_solver`] chose the Gauss-Seidel oracle).
 pub fn solve(power: &PowerMap, cfg: &ThermalConfig) -> ThermalMap {
     match default_solver() {
-        Solver::RedBlackSor => solve_red_black(power, cfg, auto_threads(power)),
+        Solver::RedBlackSor => solve_red_black(power, cfg),
         Solver::GaussSeidelReference => solve_reference(power, cfg),
     }
 }
@@ -523,31 +480,19 @@ pub fn solve_checked(power: &PowerMap, cfg: &ThermalConfig) -> Result<ThermalMap
     }
 }
 
-/// Worker count for [`solve`]: one thread below [`PAR_THRESHOLD`] cells
-/// (the paper's grids), otherwise one per hardware thread.
-fn auto_threads(power: &PowerMap) -> usize {
-    if power.power.len() < PAR_THRESHOLD {
-        1
-    } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    }
-}
-
-/// Red-black SOR over the resistive grid with an explicit worker count.
-/// The result is bit-identical for any `threads` value (colors only read
-/// the opposite color, chunks merge in index order); one iteration is one
-/// full red+black sweep, comparable to a reference Gauss-Seidel sweep.
-pub fn solve_red_black(power: &PowerMap, cfg: &ThermalConfig, threads: usize) -> ThermalMap {
+/// Red-black SOR over the resistive grid, regardless of the process
+/// default solver. One iteration is one full red+black sweep, comparable
+/// to a reference Gauss-Seidel sweep.
+pub fn solve_red_black(power: &PowerMap, cfg: &ThermalConfig) -> ThermalMap {
     let (w, h, tiers) = power.dims();
     let st = Stencil::build(power, cfg);
     let mut temps = vec![cfg.ambient_k; power.power.len()];
-    let threads = threads.max(1);
 
     let mut iterations = 0;
     let mut residual = f64::INFINITY;
     for it in 0..cfg.max_iters {
-        let d_red = st.sweep_color(&mut temps, 0, threads);
-        let d_black = st.sweep_color(&mut temps, 1, threads);
+        let d_red = st.sweep_color(&mut temps, 0);
+        let d_black = st.sweep_color(&mut temps, 1);
         residual = d_red.max(d_black);
         iterations = it + 1;
         if residual < cfg.tolerance_k {
@@ -797,7 +742,7 @@ mod tests {
         // cell, for both stack configurations.
         for cfg in [ThermalConfig::m3d(), ThermalConfig::tsv()] {
             let power = gradient_power(5, 5, 4);
-            let rb = solve_red_black(&power, &cfg, 1);
+            let rb = solve_red_black(&power, &cfg);
             let gs = solve_reference(&power, &cfg);
             assert!(rb.converged && gs.converged);
             for z in 0..4 {
@@ -815,7 +760,7 @@ mod tests {
     fn red_black_converges_much_faster_than_the_reference() {
         let power = gradient_power(5, 5, 4);
         let cfg = ThermalConfig::m3d();
-        let rb = solve_red_black(&power, &cfg, 1);
+        let rb = solve_red_black(&power, &cfg);
         let gs = solve_reference(&power, &cfg);
         assert!(
             gs.iterations >= 3 * rb.iterations,
@@ -823,18 +768,6 @@ mod tests {
             gs.iterations,
             rb.iterations
         );
-    }
-
-    #[test]
-    fn red_black_is_thread_count_independent() {
-        // Colors only read the opposite color, so chunking a sweep across
-        // any worker count is bit-identical to the sequential loop.
-        let power = gradient_power(6, 5, 4);
-        let cfg = ThermalConfig::m3d();
-        let one = solve_red_black(&power, &cfg, 1);
-        for threads in [2, 3, 8, 64] {
-            assert_eq!(solve_red_black(&power, &cfg, threads), one);
-        }
     }
 
     #[test]
