@@ -1,64 +1,87 @@
 //! Deterministic latency-aware shortest-path routing tables.
 
-use topology::{HwParams, Link, LinkId, NodeId, Topology};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use topology::{HwParams, LinkId, NodeId, Topology};
+
+/// Next-hop sentinel: no link (the node is the destination, or cannot
+/// reach it without a dead link).
+const NO_LINK: u32 = u32::MAX;
 
 /// Precomputed routing: for every (current node, destination) pair, the
 /// link to take next. Built from per-destination Dijkstra over the
 /// latency cost of each link (router pipeline + wire delay), so long Kite
-/// or SWAP links are charged their real wire length.
+/// or SWAP links are charged their real wire length. Nodes settle in
+/// (cost, node id) order, so equal-cost routes resolve the same way on
+/// every run.
+///
+/// The table is one flat `n × n` array of link ids, row `dst`, column
+/// `node`, with a `u32::MAX` sentinel where there is no next hop.
 #[derive(Clone, Debug)]
 pub struct RouteTable {
-    next: Vec<Vec<Option<LinkId>>>, // [dst][node] -> link toward dst
+    nodes: usize,
+    next: Vec<u32>, // [dst * nodes + node] -> link toward dst, or NO_LINK
 }
 
 impl RouteTable {
     /// Builds the table for a topology under a hardware model.
     pub fn build(topo: &Topology, hw: &HwParams) -> RouteTable {
-        let cost = |l: &Link| hw.hop_cycles(l.length_hops) as f64;
-        let n = topo.node_count();
-        let mut next = vec![vec![None; n]; n];
-        for (dst, next_row) in next.iter_mut().enumerate() {
-            let res = topo.dijkstra(NodeId(topology::narrow::u32_idx(dst)), cost);
-            // res[v] = (cost, parent link toward dst on the shortest-path
-            // tree rooted at dst); the parent link IS the next hop from v.
-            for (v, entry) in res.iter().enumerate() {
-                next_row[v] = entry.1;
-            }
-        }
-        RouteTable { next }
+        Self::build_excluding(topo, hw, &[])
     }
 
     /// Builds a detour table that never routes over `dead` links: the
-    /// same per-destination Dijkstra with the dead links priced at
-    /// infinity, so surviving traffic re-routes around a fault region.
-    /// Pairs that only connect through dead links end up unroutable
+    /// same per-destination Dijkstra with the dead links skipped, so
+    /// surviving traffic re-routes around a fault region. Pairs that only
+    /// connect through dead links end up unroutable
     /// ([`RouteTable::next_link`] returns `None` along the way); callers
     /// must drop flows touching disconnected nodes.
     pub fn build_excluding(topo: &Topology, hw: &HwParams, dead: &[LinkId]) -> RouteTable {
-        let cost = |l: &Link| {
-            if dead.contains(&l.id) {
-                f64::INFINITY
-            } else {
-                hw.hop_cycles(l.length_hops) as f64
-            }
-        };
+        // Each link's latency is priced once per build; a dead link has
+        // no price and is never relaxed.
+        let mut cost: Vec<Option<u64>> = topo
+            .links()
+            .iter()
+            .map(|l| Some(hw.hop_cycles(l.length_hops)))
+            .collect();
+        for lid in dead {
+            cost[lid.index()] = None;
+        }
         let n = topo.node_count();
-        let mut next = vec![vec![None; n]; n];
-        for (dst, next_row) in next.iter_mut().enumerate() {
-            let res = topo.dijkstra(NodeId(topology::narrow::u32_idx(dst)), cost);
-            for (v, entry) in res.iter().enumerate() {
-                // An infinite-cost entry means dst is unreachable from v
-                // without a dead link; leave the hop empty rather than
-                // recording a parent on the far side of the fault.
-                next_row[v] = if entry.0.is_finite() { entry.1 } else { None };
+        let mut next = vec![NO_LINK; n * n];
+        let mut dist = vec![u64::MAX; n];
+        let mut heap = BinaryHeap::new();
+        for (dst, row) in next.chunks_exact_mut(n.max(1)).enumerate() {
+            // The shortest-path tree rooted at dst: a node's parent link
+            // IS its next hop toward dst.
+            dist.fill(u64::MAX);
+            dist[dst] = 0;
+            heap.push(Reverse(heap_key(0, dst)));
+            while let Some(Reverse(key)) = heap.pop() {
+                let (d, u) = split_key(key);
+                if d > dist[u] {
+                    continue;
+                }
+                for &(v, lid) in topo.neighbors(NodeId(topology::narrow::u32_idx(u))) {
+                    let Some(w) = cost[lid.index()] else { continue };
+                    let nd = d + w;
+                    if nd < dist[v.index()] {
+                        dist[v.index()] = nd;
+                        row[v.index()] = lid.0;
+                        heap.push(Reverse(heap_key(nd, v.index())));
+                    }
+                }
             }
         }
-        RouteTable { next }
+        RouteTable { nodes: n, next }
     }
 
     /// The link to take from `at` toward `dst`, or `None` when `at == dst`.
     pub fn next_link(&self, at: NodeId, dst: NodeId) -> Option<LinkId> {
-        self.next[dst.index()][at.index()]
+        match self.next[dst.index() * self.nodes + at.index()] {
+            NO_LINK => None,
+            lid => Some(LinkId(lid)),
+        }
     }
 
     /// Full path from `src` to `dst` as a link sequence.
@@ -109,6 +132,27 @@ impl RouteTable {
         }
         hops
     }
+}
+
+/// Packs a tentative distance and a node into one heap key, distance
+/// in the high half, so integer order is (distance, node id) order and
+/// a heap comparison is one integer compare. Integer distances sum
+/// exactly, so the pop order (and with it every parent link) is the one
+/// an exact `(cost, node id)` comparator gives.
+///
+/// # Panics
+///
+/// Panics if the distance outgrows 32 bits (a route of over 2^32
+/// cycles; hop costs are a few cycles each).
+fn heap_key(dist: u64, node: usize) -> u64 {
+    let dist = u32::try_from(dist)
+        .unwrap_or_else(|_| panic!("route cost {dist} exceeds the 32-bit heap key"));
+    (u64::from(dist) << 32) | u64::from(topology::narrow::u32_idx(node))
+}
+
+/// Inverse of [`heap_key`]: `(distance, node index)`.
+fn split_key(key: u64) -> (u64, usize) {
+    (key >> 32, (key & u64::from(u32::MAX)) as usize)
 }
 
 #[cfg(test)]
@@ -214,20 +258,63 @@ mod tests {
     }
 
     #[test]
-    fn kite_prefers_cheap_paths() {
-        // Route cost on Kite accounts for 2-hop wire lengths; a route's
-        // total latency must never beat the Dijkstra cost bound.
+    fn heap_keys_order_by_distance_then_node() {
+        assert!(heap_key(5, 9) < heap_key(6, 0));
+        assert!(heap_key(5, 1) < heap_key(5, 2));
+        assert_eq!(split_key(heap_key(7, 42)), (7, 42));
+        let top = u64::from(u32::MAX);
+        assert_eq!(split_key(heap_key(top, 3)), (top, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 32-bit heap key")]
+    fn oversized_route_costs_are_refused() {
+        heap_key(1 << 32, 0);
+    }
+
+    #[test]
+    fn routes_prefer_short_links() {
+        // Triangle whose direct a-c link is longer than a-m-c: 2 x 5
+        // cycles through m beat the 14-cycle long wire.
+        let mut b = topology::TopologyBuilder::new(topology::TopologyKind::Custom, "tri");
+        let a = b.add_node(topology::Coord::new2(0, 0));
+        let m = b.add_node(topology::Coord::new2(1, 0));
+        let c = b.add_node(topology::Coord::new2(2, 0));
+        let am = b.add_link(a, m).unwrap();
+        let mc = b.add_link(m, c).unwrap();
+        b.add_link_with_length(a, c, 10).unwrap();
+        let topo = b.build().unwrap();
+        let rt = RouteTable::build(&topo, &HwParams::default());
+        assert_eq!(rt.path(&topo, a, c), vec![am, mc]);
+        assert_eq!(rt.path(&topo, c, a), vec![mc, am]);
+    }
+
+    #[test]
+    fn kite_detours_never_cross_a_dead_link() {
+        // Kite's 2-hop links make detours non-trivial: kill every fifth
+        // link and walk every pair the detour table still connects.
         let topo = kite(8, 8).unwrap();
         let hw = HwParams::default();
-        let rt = RouteTable::build(&topo, &hw);
-        let src = NodeId(0);
-        let dst = NodeId(63);
-        let path = rt.path(&topo, src, dst);
-        let cost: u64 = path
-            .iter()
-            .map(|l| hw.hop_cycles(topo.link(*l).length_hops))
-            .sum();
-        let best = topo.dijkstra(src, |l| hw.hop_cycles(l.length_hops) as f64)[dst.index()].0;
-        assert!((cost as f64 - best).abs() < 1e-9);
+        let dead: Vec<LinkId> = topo.links().iter().map(|l| l.id).step_by(5).collect();
+        let detour = RouteTable::build_excluding(&topo, &hw, &dead);
+        let mut path = Vec::new();
+        let mut walked = 0usize;
+        for s in 0..topo.node_count() {
+            for d in 0..topo.node_count() {
+                let (s, d) = (
+                    NodeId(topology::narrow::u32_idx(s)),
+                    NodeId(topology::narrow::u32_idx(d)),
+                );
+                if s == d || detour.next_link(s, d).is_none() {
+                    continue;
+                }
+                detour.path_into(&topo, s, d, &mut path);
+                for lid in &path {
+                    assert!(!dead.contains(lid), "{s:?}->{d:?} used dead link {lid:?}");
+                }
+                walked += 1;
+            }
+        }
+        assert!(walked > 0, "the dead set cut every pair");
     }
 }

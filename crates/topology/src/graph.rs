@@ -511,76 +511,6 @@ impl Topology {
             .collect()
     }
 
-    /// Dijkstra over links with a caller-supplied cost function, returning
-    /// `(cost, parent_link)` per node. Used to build routing tables with
-    /// latency-aware costs (long links are more expensive than short ones).
-    pub fn dijkstra<F>(&self, src: NodeId, mut link_cost: F) -> Vec<(f64, Option<LinkId>)>
-    where
-        F: FnMut(&Link) -> f64,
-    {
-        use std::cmp::Ordering;
-        use std::collections::BinaryHeap;
-
-        #[derive(PartialEq)]
-        struct Entry(f64, NodeId);
-        impl Eq for Entry {}
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Min-heap on cost; tie-break on node id for determinism.
-                other
-                    .0
-                    .partial_cmp(&self.0)
-                    .unwrap_or(Ordering::Equal)
-                    .then_with(|| other.1.cmp(&self.1))
-            }
-        }
-
-        let mut out: Vec<(f64, Option<LinkId>)> = vec![(f64::INFINITY, None); self.nodes.len()];
-        out[src.index()].0 = 0.0;
-        let mut heap = BinaryHeap::new();
-        heap.push(Entry(0.0, src));
-        while let Some(Entry(cost, u)) = heap.pop() {
-            if cost > out[u.index()].0 {
-                continue;
-            }
-            for &(v, lid) in &self.adj[u.index()] {
-                let w = link_cost(&self.links[lid.index()]);
-                debug_assert!(w >= 0.0, "link costs must be non-negative");
-                let next = cost + w;
-                if next < out[v.index()].0 {
-                    out[v.index()] = (next, Some(lid));
-                    heap.push(Entry(next, v));
-                }
-            }
-        }
-        out
-    }
-
-    /// Shortest path between two nodes as a node sequence (inclusive of the
-    /// endpoints), minimizing the supplied link cost.
-    pub fn shortest_path<F>(&self, src: NodeId, dst: NodeId, link_cost: F) -> Vec<NodeId>
-    where
-        F: FnMut(&Link) -> f64,
-    {
-        let res = self.dijkstra(src, link_cost);
-        let mut path = vec![dst];
-        let mut cur = dst;
-        while cur != src {
-            let Some(lid) = res[cur.index()].1 else {
-                return Vec::new(); // unreachable
-            };
-            cur = self.links[lid.index()].opposite(cur);
-            path.push(cur);
-        }
-        path.reverse();
-        path
-    }
-
     /// Mean shortest-path hop distance over all ordered node pairs.
     pub fn avg_hops(&self) -> f64 {
         let n = self.node_count();
@@ -693,21 +623,6 @@ mod tests {
         let expect: u64 = (1..n as u64).map(|d| 2 * d * (n as u64 - d)).sum::<u64>();
         let avg = expect as f64 / (n as f64 * (n as f64 - 1.0));
         assert!((t.avg_hops() - avg).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dijkstra_prefers_short_links() {
-        // Triangle where a-c direct link is longer than a-b-c.
-        let mut b = TopologyBuilder::new(TopologyKind::Custom, "tri");
-        let a = b.add_node(Coord::new2(0, 0));
-        let m = b.add_node(Coord::new2(1, 0));
-        let c = b.add_node(Coord::new2(2, 0));
-        b.add_link(a, m).unwrap();
-        b.add_link(m, c).unwrap();
-        b.add_link_with_length(a, c, 10).unwrap();
-        let t = b.build().unwrap();
-        let path = t.shortest_path(a, c, |l| l.length_hops as f64);
-        assert_eq!(path, vec![a, m, c]);
     }
 
     #[test]
